@@ -2,9 +2,11 @@
 
 Any solvable instance has a solution whose paths each use at most one
 internal vertex per type class, so paths collapse into categories
-(endpoint types + the set of classes crossed).  Counting paths per
-category is a small integer program; its solution is then expanded back
-into concrete paths.
+(endpoint types + the chain of classes crossed).  Only chordless chains,
+where no class links a non-neighbour in the chain, need a category: any
+other route contains one that uses no more of any class.  Counting paths
+per category is a small integer program; its solution is then expanded
+back into concrete paths.
 
 Run with: python3 demos/03_disjoint_paths.py
 """

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .decomposition import build_type_graph, compute_type_partition
 from .generate import random_instance, random_template, sparse_template
@@ -229,7 +227,6 @@ def bench_cells(
     ns: list[int],
     seeds: int,
     base_seed: int = 0,
-    threads: int | None = None,
     template_kind: str = "auto",
     **params,
 ) -> list[dict]:
@@ -238,22 +235,15 @@ def bench_cells(
     Instance generation is deterministic per seed.  With the default
     "auto" template, cells of 1000+ vertices use the sparse template so a
     fully-joined pair of huge classes cannot blow the edge count up
-    quadratically.  Cells run in parallel up to ``threads`` workers
-    (default: ND_SOLVE_THREADS or the machine parallelism).
+    quadratically.  Cells run one after another in one thread, so no cell's
+    time includes waiting on another.
     """
-    if threads is None:
-        try:
-            threads = int(os.environ.get("ND_SOLVE_THREADS", ""))
-        except ValueError:
-            threads = 0
-        threads = threads or os.cpu_count() or 1
 
     def make_template(k: int, n: int, seed: int):
         sparse = template_kind == "sparse" or (template_kind == "auto" and n >= 1000)
         return sparse_template(k, n, seed) if sparse else random_template(k, n, seed)
 
-    def run_cell(cell: tuple[int, int]) -> dict:
-        k, n = cell
+    def run_cell(k: int, n: int) -> dict:
         times: list[float] = []
         ilp_vars = None
         for i in range(seeds):
@@ -274,11 +264,7 @@ def bench_cells(
             "ilp_vars": ilp_vars,
         }
 
-    cells = [(k, n) for k in ks for n in ns]
-    if not cells:
-        return []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        return list(pool.map(run_cell, cells))
+    return [run_cell(k, n) for k in ks for n in ns]
 
 
 def _cmd_bench(args) -> int:

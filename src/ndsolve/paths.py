@@ -4,13 +4,18 @@ Every solvable instance has a solution in which each path visits at most
 one non-endpoint vertex per type (:func:`simplify_path` turns any path
 into such a form by shortcutting between repeated types).  A simple path
 is described up to vertex choice by its category: the endpoint types plus
-the set of types its internal vertices traverse.  Counting paths per
+the chain of types its internal vertices traverse.  Counting paths per
 category turns the problem into a small integer system:
 
 * per endpoint-type pair, the category counts must add up to the number of
   terminal pairs with those endpoint types;
 * per type, the paths routed through it may not outnumber its vertices
   left over after the fixed terminals are set aside.
+
+Only inclusion-minimal routes need a category: demand rows ignore the
+route, and capacity rows only get looser on a sub-route.  The minimal
+routes are the chordless chains ``s, T1..Tr, t`` of the type graph, where
+only consecutive members link (:func:`minimal_chains`).
 
 Within a type all vertices look alike, so a feasible count table converts
 greedily back into concrete disjoint paths.
@@ -21,7 +26,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .decomposition import (
     TypeGraph,
@@ -36,12 +41,12 @@ from .instances import PathsInstance, SolveReport, validate_paths_witness
 
 @dataclass(frozen=True)
 class PathCategory:
-    """Endpoint types (normalized start <= end) plus the set of types the
-    internal vertices pass through; one count variable each."""
+    """Endpoint types (normalized start <= end) plus the chordless chain of
+    types between them, in order from the start type; one count variable."""
 
     start_type: int
     end_type: int
-    route: frozenset[int]
+    chain: tuple[int, ...]
     var_index: int
 
 
@@ -50,57 +55,57 @@ class PathsWitness:
     paths: tuple[tuple[int, ...], ...]
 
 
-def order_route(
-    type_graph: TypeGraph, route: frozenset[int] | set[int], s_type: int, t_type: int
-) -> tuple[int, ...] | None:
-    """Order the route's types into a usable chain, or None.
+def minimal_chains(
+    type_graph: TypeGraph, s_type: int, t_type: int
+) -> Iterator[tuple[int, ...]]:
+    """Yield the inclusion-minimal routes from ``s_type`` to ``t_type``.
 
-    The chain T1..Tr must satisfy: s_type links T1, consecutive types link,
-    Tr links t_type, where two types link when they are adjacent in the
-    type graph or are the same clique type.  An empty route is usable iff
-    the endpoint types link directly.  Subset dynamic programming over the
-    route, deterministic (lowest continuation first).
+    Types link when adjacent in the type graph or the same clique type.  A
+    chain T1..Tr is yielded when, in ``s_type, T1..Tr, t_type``, exactly
+    the consecutive members link: any other link would shortcut to a
+    smaller route.  Depth-first, lowest type id first, each chain once.
     """
-    types = tuple(sorted(route))
-    if not types:
-        return () if type_graph.linked(s_type, t_type) else None
-    r = len(types)
-    # reached[(mask, last)] = predecessor local index, -1 for chain starts
-    reached: dict[tuple[int, int], int] = {}
-    for i, t in enumerate(types):
-        if type_graph.linked(s_type, t):
-            reached[(1 << i, i)] = -1
-    for mask in range(1, 1 << r):
-        for last in range(r):
-            if not mask >> last & 1 or (mask, last) not in reached:
+    linked = type_graph.linked
+    if linked(s_type, t_type):
+        yield ()
+        return
+    path = [s_type]
+
+    def grow() -> Iterator[tuple[int, ...]]:
+        for x in type_graph.adj[path[-1]]:
+            if x in path or any(linked(y, x) for y in path[:-1]):
                 continue
-            for nxt in range(r):
-                if mask >> nxt & 1:
-                    continue
-                if type_graph.linked(types[last], types[nxt]):
-                    key = (mask | 1 << nxt, nxt)
-                    if key not in reached:
-                        reached[key] = last
-    full = (1 << r) - 1
-    for last in range(r):
-        if (full, last) in reached and type_graph.linked(types[last], t_type):
-            chain = []
-            mask, at = full, last
-            while at != -1:
-                chain.append(types[at])
-                prev = reached[(mask, at)]
-                mask ^= 1 << at
-                at = prev
-            chain.reverse()
-            return tuple(chain)
-    return None
+            path.append(x)
+            if linked(x, t_type):
+                yield tuple(path[1:])
+            else:
+                yield from grow()
+            path.pop()
+
+    yield from grow()
 
 
 def route_is_valid(
     type_graph: TypeGraph, route: frozenset[int] | set[int], s_type: int, t_type: int
 ) -> bool:
     """Whether a path with these endpoint types can traverse exactly ``route``."""
-    return order_route(type_graph, route, s_type, t_type) is not None
+    linked = type_graph.linked
+    types = sorted(route)
+    if not types:
+        return linked(s_type, t_type)
+    r = len(types)
+    ends = [0] * (1 << r)  # bit i: a chain from s_type over mask can end at types[i]
+    for i, t in enumerate(types):
+        if linked(s_type, t):
+            ends[1 << i] = 1 << i
+    for mask in range(1, 1 << r):
+        for last in range(r):
+            if ends[mask] >> last & 1:
+                for nxt in range(r):
+                    if not mask >> nxt & 1 and linked(types[last], types[nxt]):
+                        ends[mask | 1 << nxt] |= 1 << nxt
+    full = (1 << r) - 1
+    return any(ends[full] >> i & 1 and linked(types[i], t_type) for i in range(r))
 
 
 def simplify_path(
@@ -148,6 +153,7 @@ def build_paths_ilp(
 ) -> tuple[IlpProblem, tuple[PathCategory, ...]]:
     """Category count variables plus the demand and capacity constraints.
 
+    One category per minimal chain of each demanded endpoint-type pair.
     Demands: per normalized endpoint-type pair, category counts sum to the
     number of terminal pairs with those endpoint types.  Capacities: per
     type, the categories routed through it sum to at most the type size
@@ -164,10 +170,8 @@ def build_paths_ilp(
 
     categories: list[PathCategory] = []
     for a, b in sorted(demand):
-        for mask in range(1 << k):
-            route = frozenset(t for t in range(k) if mask >> t & 1)
-            if route_is_valid(type_graph, route, a, b):
-                categories.append(PathCategory(a, b, route, len(categories)))
+        for chain in minimal_chains(type_graph, a, b):
+            categories.append(PathCategory(a, b, chain, len(categories)))
 
     num_vars = len(categories)
     upper = tuple(demand[(cat.start_type, cat.end_type)] for cat in categories)
@@ -178,7 +182,7 @@ def build_paths_ilp(
         )
         constraints.append(equal(coeffs, count))
     for t in range(k):
-        coeffs = tuple(1 if t in cat.route else 0 for cat in categories)
+        coeffs = tuple(1 if t in cat.chain else 0 for cat in categories)
         if any(coeffs):
             capacity = type_graph.size[t] - terminals_in[t]
             constraints.append(at_most(coeffs, capacity))
@@ -189,16 +193,17 @@ def build_paths_ilp(
 def reconstruct_paths(
     instance: PathsInstance,
     partition: TypePartition,
-    type_graph: TypeGraph,
     categories: tuple[PathCategory, ...],
     counts: Sequence[int],
 ) -> PathsWitness:
     """Turn feasible category counts into concrete disjoint paths.
 
-    Pairs are processed in input order, categories are handed out by lowest
-    route mask, and each route type contributes its lowest unused
-    non-terminal vertex, so reconstruction is deterministic.  The capacity
-    constraints guarantee the pools never run dry.
+    Pairs are processed in input order, categories are handed out in
+    compile order, and each chain type contributes its lowest unused
+    non-terminal vertex, so reconstruction is deterministic.  A chain runs
+    from the lower endpoint type, so it is walked backwards for a pair
+    whose source has the higher type.  The capacity constraints guarantee
+    the pools never run dry.
     """
     type_of = partition.type_of
     terminal_set = set(instance.terminals())
@@ -207,29 +212,24 @@ def reconstruct_paths(
         for t in range(partition.num_types)
     }
 
-    def mask_of(route: frozenset[int]) -> int:
-        return sum(1 << t for t in route)
-
-    queues: dict[tuple[int, int], list[frozenset[int]]] = {}
+    queues: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     for cat, count in zip(categories, counts):
         key = (cat.start_type, cat.end_type)
-        queues.setdefault(key, []).extend([cat.route] * count)
-    for routes in queues.values():
-        routes.sort(key=mask_of)
+        queues.setdefault(key, []).extend([cat.chain] * count)
 
     paths: list[tuple[int, ...]] = []
     cursor: Counter = Counter()
     for s, t in instance.pairs:
         key = tuple(sorted((type_of[s], type_of[t])))
-        routes = queues.get(key, [])
-        assert cursor[key] < len(routes), "category counts do not cover the pairs"
-        route = routes[cursor[key]]
+        chains = queues.get(key, [])
+        assert cursor[key] < len(chains), "category counts do not cover the pairs"
+        chain = chains[cursor[key]]
         cursor[key] += 1
-        chain = order_route(type_graph, route, type_of[s], type_of[t])
-        assert chain is not None, "category route lost its ordering"
+        if type_of[s] > type_of[t]:
+            chain = chain[::-1]
         verts = [s]
-        for rt in chain:
-            v = next(pools[rt], None)
+        for ct in chain:
+            v = next(pools[ct], None)
             assert v is not None, "vertex pool exhausted despite capacity limits"
             verts.append(v)
         verts.append(t)
@@ -248,9 +248,7 @@ def solve_paths(instance: PathsInstance) -> SolveReport:
     solution = solve_feasibility(problem)
     witness: PathsWitness | None = None
     if solution is not None:
-        witness = reconstruct_paths(
-            instance, partition, type_graph, categories, solution.values
-        )
+        witness = reconstruct_paths(instance, partition, categories, solution.values)
         validate_paths_witness(instance, witness.paths, type_of=partition.type_of)
     elapsed = (time.perf_counter() - start) * 1000.0
     return SolveReport(

@@ -131,8 +131,7 @@ def test_missing_file_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_bench_table(capsys, monkeypatch):
-    monkeypatch.setenv("ND_SOLVE_THREADS", "2")
+def test_bench_table(capsys):
     assert run([
         "bench", "--problem", "precolor", "--k", "2,3", "--n", "20",
         "--seeds", "2",

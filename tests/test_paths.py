@@ -7,14 +7,17 @@ from ndsolve import (
     build_type_graph,
     complete_graph,
     compute_type_partition,
+    generate_from_template,
     oracle_paths,
     path_graph,
+    random_instance,
+    random_template,
     route_is_valid,
     simplify_path,
     solve_paths,
     validate_paths_witness,
 )
-from ndsolve.paths import build_paths_ilp, order_route, reconstruct_paths
+from ndsolve.paths import build_paths_ilp, minimal_chains
 from ndsolve.ilp import solve_feasibility
 from helpers import random_labeled_graph, random_simple_walk, small_sweep_instance
 
@@ -74,13 +77,35 @@ def test_route_validity_matches_permutation_search():
                         brute_route_valid(h, route, s_type, t_type)
 
 
-def test_order_route_returns_usable_chains():
-    g = path_graph(5)  # all five types are singletons
-    partition, h = _decomposed(g)
-    t = partition.type_of
-    chain = order_route(h, {t[1], t[2]}, t[0], t[3])
-    assert chain == (t[1], t[2])
-    assert order_route(h, {t[1], t[2]}, t[0], t[0]) is None
+def test_minimal_chains_are_exactly_the_minimal_routes():
+    rng = random.Random(1212)
+    long_chains = 0
+    for trial in range(60):
+        k = rng.randint(2, 6)
+        template = random_template(k, rng.randint(k, 3 * k), trial)
+        _, h = _decomposed(generate_from_template(template, trial))
+        k = h.num_types
+        for s_type in range(k):
+            for t_type in range(k):
+                valid = [
+                    m for m in range(1 << k)
+                    if brute_route_valid(
+                        h, {t for t in range(k) if m >> t & 1}, s_type, t_type
+                    )
+                ]
+                minimal = {
+                    frozenset(t for t in range(k) if m >> t & 1)
+                    for m in valid
+                    if not any(v != m and v & m == v for v in valid)
+                }
+                chains = list(minimal_chains(h, s_type, t_type))
+                assert len(set(chains)) == len(chains)
+                assert {frozenset(c) for c in chains} == minimal
+                for chain in chains:
+                    seq = (s_type, *chain, t_type)
+                    assert all(_linked(h, a, b) for a, b in zip(seq, seq[1:]))
+                    long_chains += len(chain) >= 2
+    assert long_chains > 0
 
 
 def test_simplify_keeps_already_simple_paths():
@@ -160,6 +185,22 @@ def test_reconstruction_is_forced_on_path3():
     report = solve_paths(PathsInstance(path_graph(3), ((0, 2),)))
     assert report.answer
     assert report.witness.paths == ((0, 1, 2),)
+
+
+def test_multi_type_chain_walked_against_normalized_order():
+    report = solve_paths(PathsInstance(path_graph(4), ((3, 0),)))
+    assert report.answer
+    assert report.witness.paths == ((3, 2, 1, 0),)
+
+
+def test_large_k_compiles_a_small_system():
+    inst = random_instance("paths", random_template(12, 200, 1), 1, num_pairs=3)
+    report = solve_paths(inst)
+    assert report.nd == 12
+    assert report.ilp_vars < 100
+    assert report.answer
+    partition = compute_type_partition(inst.graph)
+    validate_paths_witness(inst, report.witness.paths, type_of=partition.type_of)
 
 
 def test_agrees_with_oracle_on_random_instances():
