@@ -1,9 +1,10 @@
 """Finding a connected, exactly-colored subgraph (the motif problem).
 
-The solver never enumerates vertex subsets.  It walks the subsets of type
-classes, keeps the connected ones, and asks a bipartite matching whether a
-one-vertex-per-class skeleton with motif colors exists; a skeleton then
-grows greedily into a full witness.
+The solver never enumerates vertex subsets.  It grows connected sets of
+type classes, at most one class per motif vertex and only classes holding
+a motif color, and asks a bipartite matching whether a one-vertex-per-class
+skeleton with motif colors exists; a skeleton then grows greedily into a
+full witness.
 
 Run with: python3 demos/02_graph_motif.py
 """

@@ -52,10 +52,6 @@ def _witness_json(witness):
         return [[v + 1 for v in path] for path in witness.paths]
     if isinstance(witness, ColoringWitness):
         return {str(v + 1): c for v, c in enumerate(witness.colors)}
-    if isinstance(witness, tuple):  # bare oracle witnesses
-        if witness and isinstance(witness[0], tuple):
-            return [[v + 1 for v in path] for path in witness]
-        return [v + 1 for v in witness]
     return witness
 
 

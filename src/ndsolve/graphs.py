@@ -23,16 +23,13 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         neighbors: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            if v in neighbors[u]:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             neighbors[u].add(v)
             neighbors[v].add(u)
         return cls(n, tuple(tuple(sorted(s)) for s in neighbors))

@@ -161,24 +161,37 @@ def solve_feasibility(problem: IlpProblem) -> IlpSolution | None:
 def _search(
     problem: IlpProblem, rows: list[_Norm], lower: list[int], upper: list[int]
 ) -> list[int] | None:
-    if not _propagate(rows, lower, upper):
-        return None
-    pick = -1
-    smallest = None
-    for j in range(problem.num_vars):
-        width = upper[j] - lower[j]
-        if width > 0 and (smallest is None or width < smallest):
-            smallest = width
-            pick = j
-    if pick < 0:
-        return lower if satisfies(problem, tuple(lower)) else None
-    for value in range(lower[pick], upper[pick] + 1):
-        lo, up = list(lower), list(upper)
-        lo[pick] = up[pick] = value
-        found = _search(problem, rows, lo, up)
-        if found is not None:
-            return found
-    return None
+    """Depth-first search on an explicit stack, so deep trees cannot overflow.
+
+    A frame holds a propagated node's bounds, its branching variable and
+    the next value to try; children are copied one at a time, values
+    ascending, and the first satisfying leaf is returned.
+    """
+    stack: list[list] = []
+    while True:
+        if _propagate(rows, lower, upper):
+            pick = -1
+            smallest = None
+            for j in range(problem.num_vars):
+                width = upper[j] - lower[j]
+                if width > 0 and (smallest is None or width < smallest):
+                    smallest = width
+                    pick = j
+            if pick < 0:
+                if satisfies(problem, tuple(lower)):
+                    return lower
+            else:
+                stack.append([lower, upper, pick, lower[pick]])
+        while stack:
+            node_lower, node_upper, pick, value = stack[-1]
+            if value <= node_upper[pick]:
+                break
+            stack.pop()
+        else:
+            return None
+        stack[-1][3] = value + 1
+        lower, upper = list(node_lower), list(node_upper)
+        lower[pick] = upper[pick] = value
 
 
 def format_problem(problem: IlpProblem) -> str:

@@ -10,8 +10,13 @@ connected, and every further vertex from a candidate type attaches to it;
 missing colors can therefore be added greedily.  Skeleton existence is a
 bipartite matching between motif color occurrences and candidate types.
 
-The candidate sets are enumerated as increasing bitmasks over type ids,
-so a yes answer always reports the witness of the lowest feasible mask.
+A skeleton spends a distinct motif occurrence on each type, so a feasible
+candidate has at most |M| types and each of them holds a motif color.
+The solver therefore never looks at other sets: `connected_type_sets`
+grows exactly the connected sets of at most |M| motif-colored types.
+Each set is grown from its lowest type, depth first, adding neighbours in
+ascending id order, and a yes answer reports the witness of the first
+feasible set in that order.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .decomposition import (
     TypeGraph,
@@ -57,7 +63,11 @@ class MotifWitness:
 
 
 def candidate_type_set(type_graph: TypeGraph, types: tuple[int, ...]) -> CandidateTypeSet:
-    """Wrap a type subset, computing connectivity inside the type graph."""
+    """Wrap a type subset, computing connectivity inside the type graph.
+
+    The solver does not need this test (`connected_type_sets` yields only
+    connected sets); it stays as the independent reference for them.
+    """
     types = tuple(sorted(types))
     if not types:
         raise ValueError("candidate type set must be nonempty")
@@ -79,6 +89,50 @@ def candidate_type_set(type_graph: TypeGraph, types: tuple[int, ...]) -> Candida
                     parent[max(ri, rj)] = min(ri, rj)
     connected = len({find(i) for i in range(len(types))}) == 1
     return CandidateTypeSet(types, connected)
+
+
+def connected_type_sets(
+    type_graph: TypeGraph, allowed: Iterable[int], max_size: int
+) -> Iterator[tuple[int, ...]]:
+    """Every connected set of at most ``max_size`` allowed types, once each.
+
+    Sets are grown from their lowest type, depth first, adding frontier
+    types in ascending id order.  A frame holds bitmasks of the ``chosen``
+    types, the ``frontier`` still to try and the ``banned`` types (chosen,
+    below the root, or a sibling whose branch is done), so each set is
+    reached along one path only and the stack never exceeds ``max_size``.
+    """
+    allowed_mask = 0
+    for t in allowed:
+        allowed_mask |= 1 << t
+    nbr = [sum(1 << u for u in row) & allowed_mask for row in type_graph.adj]
+    for root in _members(allowed_mask):
+        yield (root,)
+        below = (2 << root) - 1
+        stack = [[1 << root, nbr[root] & ~below, below]]
+        while stack:
+            frame = stack[-1]
+            chosen, frontier, banned = frame
+            if not frontier or len(stack) == max_size:
+                stack.pop()
+                continue
+            low = frontier & -frontier
+            banned |= low
+            frame[1], frame[2] = frontier ^ low, banned
+            chosen |= low
+            yield _members(chosen)
+            frontier = (frontier | nbr[low.bit_length() - 1]) & ~banned
+            stack.append([chosen, frontier, banned])
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _color_tables(
@@ -175,34 +229,26 @@ def solve_motif(instance: MotifInstance) -> SolveReport:
     type_graph = build_type_graph(instance.graph, partition)
     k = partition.num_types
 
+    tables, type_counts = _color_tables(instance, partition)
+    want = instance.motif_counts()
+    size = len(instance.motif)
+    colored = [t for t in range(k) if any(c in tables[t] for c in want)]
     witness: MotifWitness | None = None
-    if len(instance.motif) == 1:
-        target = instance.motif[0]
-        for v in range(instance.graph.n):
-            if instance.vertex_color[v] == target:
-                witness = MotifWitness((v,))
-                break
-    else:
-        tables, type_counts = _color_tables(instance, partition)
-        want = instance.motif_counts()
-        for mask in range(1, 1 << k):
-            types = tuple(t for t in range(k) if mask >> t & 1)
-            if len(types) == 1 and not partition.clique_flag[types[0]]:
-                # an independent class alone cannot connect two vertices
-                continue
-            candidate = candidate_type_set(type_graph, types)
-            if not candidate.connected:
-                continue
-            pool: Counter = Counter()
-            for t in types:
-                pool.update(type_counts[t])
-            if any(pool[c] < count for c, count in want.items()):
-                continue
-            skeleton = skeleton_exists(instance, partition, candidate, _tables=tables)
-            if skeleton is None:
-                continue
-            witness = extend_skeleton(instance, partition, candidate, skeleton)
-            break
+    for types in connected_type_sets(type_graph, colored, size):
+        if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:
+            # a lone independent type hosts only a one-vertex motif
+            continue
+        pool: Counter = Counter()
+        for t in types:
+            pool.update(type_counts[t])
+        if any(pool[c] < count for c, count in want.items()):
+            continue
+        candidate = CandidateTypeSet(types, True)
+        skeleton = skeleton_exists(instance, partition, candidate, _tables=tables)
+        if skeleton is None:
+            continue
+        witness = extend_skeleton(instance, partition, candidate, skeleton)
+        break
 
     if witness is not None:
         validate_motif_witness(instance, witness.vertices)

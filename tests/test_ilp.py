@@ -98,6 +98,15 @@ def test_determinism():
         assert first == second
 
 
+def test_deep_search_needs_no_recursion():
+    # one fixed variable per search level: 1200 levels deep
+    n = 1200
+    problem = IlpProblem(n, (0,) * n, (1,) * n, (equal((1,) * n, 1),))
+    solution = solve_feasibility(problem)
+    assert solution is not None
+    assert satisfies(problem, solution.values)
+
+
 def test_format_problem_lists_bounds_and_constraints():
     problem = IlpProblem(
         2, (0, 0), (3, 1), (equal((1, -2), 1), at_most((0, 1), 1))

@@ -12,8 +12,10 @@ from ndsolve import (
     solve_motif,
     validate_motif_witness,
 )
+from ndsolve.generate import random_instance, random_template
 from ndsolve.motif import (
     candidate_type_set,
+    connected_type_sets,
     extend_skeleton,
     skeleton_exists,
 )
@@ -128,6 +130,42 @@ def test_extension_fills_missing_colors():
     witness = extend_skeleton(inst, partition, candidate, skeleton)
     assert witness.vertices == (0, 1, 2)
     validate_motif_witness(inst, witness.vertices)
+
+
+def test_connected_type_sets_are_exactly_the_small_connected_sets():
+    """Every connected set of <= |M| motif-colored types, each yielded once."""
+    rng = random.Random(77)
+    for _ in range(150):
+        k = rng.randint(1, 8)
+        n = rng.randint(k, 3 * k)
+        template = random_template(k, n, rng.getrandbits(32), edge_prob=rng.random())
+        inst = random_instance(
+            "motif",
+            template,
+            rng.getrandbits(32),
+            colors=rng.randint(1, 5),
+            motif_size=rng.randint(1, min(6, n)),
+        )
+        partition, type_graph = _decomposed(inst)
+        k = partition.num_types
+        colored = [
+            t
+            for t in range(k)
+            if any(inst.vertex_color[v] in inst.motif for v in partition.classes[t])
+        ]
+        got = list(connected_type_sets(type_graph, colored, len(inst.motif)))
+        assert len(got) == len(set(got))
+        assert all(list(types) == sorted(types) for types in got)
+        want = set()
+        for mask in range(1, 1 << k):
+            types = tuple(t for t in range(k) if mask >> t & 1)
+            if (
+                len(types) <= len(inst.motif)
+                and set(types) <= set(colored)
+                and candidate_type_set(type_graph, types).connected
+            ):
+                want.add(types)
+        assert set(got) == want
 
 
 def test_agrees_with_oracle_on_random_instances():
