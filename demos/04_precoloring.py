@@ -3,8 +3,9 @@
 Independent classes reduce away first (a pinned color floods its class, a
 fully uncolored class acts as one vertex).  The remaining question is
 distributional: group colors by where the input pins them, decide how many
-colors of each group occupy each admissible set of classes, and solve the
-resulting integer system.
+colors of each group go to each maximal set of pairwise non-adjacent
+classes, ask every class to receive at least as many colors as it has
+vertices, and solve the resulting integer system.
 
 Run with: python3 demos/04_precoloring.py
 """
@@ -44,7 +45,7 @@ reduced2 = reduce_independent_types(inst2, compute_type_partition(fan))
 print("fan with nothing pinned: collapsed groups", reduced2.collapsed)
 
 # Color categories are fixed by the input; the solver only has to split
-# them into admissible occupancy patterns.
+# them among the maximal occupancy patterns.
 k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 inst3 = PrecolorInstance(k4, {0: 2, 1: 5}, 6)
 reduced3 = reduce_independent_types(inst3, compute_type_partition(k4))

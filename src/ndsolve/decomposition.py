@@ -203,6 +203,16 @@ def build_type_graph(graph: Graph, partition: TypePartition) -> TypeGraph:
     )
 
 
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The set bits of a type mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def compute_vertex_cover(graph: Graph, budget: int) -> tuple[int, ...] | None:
     """Vertex cover of size <= budget, or None when no such cover exists.
 

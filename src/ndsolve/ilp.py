@@ -165,7 +165,8 @@ def _search(
 
     A frame holds a propagated node's bounds, its branching variable and
     the next value to try; children are copied one at a time, values
-    ascending, and the first satisfying leaf is returned.
+    ascending, and the first leaf that propagates is returned: with every
+    variable fixed, a propagation pass has checked each row's exact sum.
     """
     stack: list[list] = []
     while True:
@@ -178,10 +179,8 @@ def _search(
                     smallest = width
                     pick = j
             if pick < 0:
-                if satisfies(problem, tuple(lower)):
-                    return lower
-            else:
-                stack.append([lower, upper, pick, lower[pick]])
+                return lower
+            stack.append([lower, upper, pick, lower[pick]])
         while stack:
             node_lower, node_upper, pick, value = stack[-1]
             if value <= node_upper[pick]:

@@ -12,7 +12,8 @@
 
 ``#`` starts a comment.  At most one annotation family may appear in a
 file; a bare graph file is valid.  Vertex ids are 1-based on disk and
-0-based in memory.
+0-based in memory, and a header may declare at most :data:`MAX_VERTICES`
+vertices.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from .graphs import Graph
 from .instances import MotifInstance, PathsInstance, PrecolorInstance
 
 Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
+
+# Largest vertex count a header may declare.  Graph.from_edges allocates one
+# neighbor set per vertex before it reads an edge, about 0.24 KB each, so
+# the cap bounds an edgeless graph at roughly 240 MB.
+MAX_VERTICES = 10**6
 
 _FAMILY = {
     "vcolor": "motif",
@@ -90,6 +96,10 @@ def parse_instance(text: str) -> Instance:
             n = _int(tokens[2], "vertex count", line_no)
             if n < 0:
                 raise ParseError(f"vertex count must be nonnegative: {n}", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"vertex count exceeds the limit {MAX_VERTICES}: {n}", line_no
+                )
             continue
         if n is None:
             raise ParseError("'p graph <n>' header must come first", line_no)

@@ -31,6 +31,7 @@ from .decomposition import (
     TypePartition,
     build_type_graph,
     compute_type_partition,
+    mask_members,
 )
 from .instances import (
     MotifInstance,
@@ -106,7 +107,7 @@ def connected_type_sets(
     for t in allowed:
         allowed_mask |= 1 << t
     nbr = [sum(1 << u for u in row) & allowed_mask for row in type_graph.adj]
-    for root in _members(allowed_mask):
+    for root in mask_members(allowed_mask):
         yield (root,)
         below = (2 << root) - 1
         stack = [[1 << root, nbr[root] & ~below, below]]
@@ -120,19 +121,9 @@ def connected_type_sets(
             banned |= low
             frame[1], frame[2] = frontier ^ low, banned
             chosen |= low
-            yield _members(chosen)
+            yield mask_members(chosen)
             frontier = (frontier | nbr[low.bit_length() - 1]) & ~banned
             stack.append([chosen, frontier, banned])
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _color_tables(

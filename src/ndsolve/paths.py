@@ -63,26 +63,28 @@ def minimal_chains(
     Types link when adjacent in the type graph or the same clique type.  A
     chain T1..Tr is yielded when, in ``s_type, T1..Tr, t_type``, exactly
     the consecutive members link: any other link would shortcut to a
-    smaller route.  Depth-first, lowest type id first, each chain once.
+    smaller route.  Depth-first on an explicit stack, lowest type id
+    first, each chain once.
     """
     linked = type_graph.linked
     if linked(s_type, t_type):
         yield ()
         return
     path = [s_type]
-
-    def grow() -> Iterator[tuple[int, ...]]:
-        for x in type_graph.adj[path[-1]]:
+    stack = [iter(type_graph.adj[s_type])]  # stack[i] walks the neighbours of path[i]
+    while stack:
+        for x in stack[-1]:
             if x in path or any(linked(y, x) for y in path[:-1]):
                 continue
-            path.append(x)
             if linked(x, t_type):
-                yield tuple(path[1:])
+                yield tuple(path[1:]) + (x,)
             else:
-                yield from grow()
+                path.append(x)
+                stack.append(iter(type_graph.adj[x]))
+                break
+        else:
+            stack.pop()
             path.pop()
-
-    yield from grow()
 
 
 def route_is_valid(

@@ -8,38 +8,51 @@ fully precolored ("frozen") or one uncolored vertex; all other types stay
 "active".
 
 Colors are then grouped by where the input pins them: a category collects
-the colors precolored in the same set of types.  A finished coloring
-refines each category into subcategories by the full set of types a color
-ends up occupying.  On active types every color occupies at most one
-vertex (cliques are rainbow, reduced independent types have one vertex),
-so counting colors per subcategory captures the coloring exactly:
+the colors precolored in the same set of types.  Each color of a category
+is routed to a subcategory, a set of types that contains the category's
+types, adds no frozen type (its vertices are all taken) and holds no
+adjacent type pair (a color shared across a fully-joined pair would sit on
+an edge).  Only the maximal such sets are needed, and one count variable
+per subcategory gives a small integer system:
 
 * per category, its subcategory counts sum to the category's color count;
-* per active type, the subcategories containing it sum to the type size.
+* per active type, the subcategories containing it sum to at least the
+  type size.
 
-Admissible subcategories contain their category, avoid adjacent type
-pairs (a color shared across a fully-joined pair would sit on an edge),
-and never add frozen types, whose vertices are all taken.  Frozen types
-are left out of the per-type equations because one color may legally
-cover several of their vertices; their adjacency constraints still apply
-through the categories.  A feasible count table converts directly into a
-proper coloring.
+The covering rows make maximal sets enough.  A coloring that extends the
+input puts each color on an independent set of types; enlarging that set
+to a maximal one only adds types to the rows, and each vertex of an active
+type has its own color (cliques are rainbow, reduced independent types
+have one vertex), so every row still holds.  Conversely, a feasible count
+table routes at least size(t) colors to each active type t; its pinned
+colors already sit on their vertices, the lowest other routed colors fill
+the open vertices and any surplus color is simply left off t.  Two uses of
+one color always lie in one independent set of types, so the result is
+proper.  Frozen types are left out of the per-type rows because one color
+may legally cover several of their vertices; their adjacency constraints
+still apply through the categories.
+
+The witness follows from the first feasible count table of the search,
+with variables ordered by category and then in the order
+:func:`maximal_independent_supersets` yields the sets; see
+:func:`reconstruct_coloring` for how counts become colors.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .decomposition import (
     TypeGraph,
     TypePartition,
     build_type_graph,
     compute_type_partition,
+    mask_members,
 )
 from .graphs import Graph
-from .ilp import IlpProblem, equal, solve_feasibility
+from .ilp import IlpProblem, at_most, equal, solve_feasibility
 from .instances import PrecolorInstance, SolveReport, validate_coloring_witness
 
 
@@ -97,7 +110,8 @@ class ColorCategory:
 
 @dataclass(frozen=True)
 class ColorSubcategory:
-    """Full type occupancy a category's colors may take; one count variable."""
+    """Maximal type set a category's colors may be routed to; a routed
+    color occupies some of its types.  One count variable."""
 
     category_index: int
     type_set: frozenset[int]
@@ -178,25 +192,57 @@ def compute_color_categories(reduced: ReducedInstance) -> tuple[ColorCategory, .
     )
 
 
-def _independent_supersets(
+def maximal_independent_supersets(
     type_graph: TypeGraph,
     base: frozenset[int],
     addable: Sequence[int],
-):
-    """All supersets of ``base`` by types from ``addable``, pairwise
-    non-adjacent in the type graph; backtracking over ascending type ids."""
-    chosen: list[int] = []
+) -> Iterator[frozenset[int]]:
+    """Each maximal superset of ``base`` by pairwise non-adjacent types
+    from ``addable``, once.
 
-    def rec(start: int):
-        yield base.union(chosen)
-        for i in range(start, len(addable)):
-            t = addable[i]
-            if all(not type_graph.has_edge(t, u) for u in chosen):
-                chosen.append(t)
-                yield from rec(i + 1)
-                chosen.pop()
+    ``addable`` types must already be non-adjacent to ``base``.  The sets
+    are the maximal cliques of the complement of the type graph on
+    ``addable``, listed by Bron-Kerbosch with a pivot on bitmasks over an
+    explicit stack.  A frame holds the ``chosen`` types, the ``candidates``
+    compatible with all of them, the ``excluded`` compatible types whose
+    branch is done, and the ``todo`` candidates still to branch on, lowest
+    id first: those incompatible with the pivot, a type that leaves the
+    fewest.  A set is maximal when no candidate or excluded type remains.
+    """
+    pool = 0
+    for t in addable:
+        pool |= 1 << t
+    compat = [0] * type_graph.num_types
+    for t in addable:
+        adjacent = sum(1 << u for u in type_graph.adj[t])
+        compat[t] = pool & ~adjacent & ~(1 << t)
 
-    yield from rec(0)
+    def frame(chosen: int, candidates: int, excluded: int) -> list[int]:
+        pivot = max(
+            mask_members(candidates | excluded),
+            key=lambda u: (candidates & compat[u]).bit_count(),
+        )
+        return [chosen, candidates, excluded, candidates & ~compat[pivot]]
+
+    if not pool:
+        yield base
+        return
+    stack = [frame(0, pool, 0)]
+    while stack:
+        top = stack[-1]
+        chosen, candidates, excluded, todo = top
+        if not todo:
+            stack.pop()
+            continue
+        low = todo & -todo
+        top[1], top[2], top[3] = candidates ^ low, excluded | low, todo ^ low
+        t = low.bit_length() - 1
+        candidates &= compat[t]
+        excluded &= compat[t]
+        if candidates:
+            stack.append(frame(chosen | low, candidates, excluded))
+        elif not excluded:
+            yield base.union(mask_members(chosen | low))
 
 
 def build_precolor_ilp(
@@ -204,7 +250,8 @@ def build_precolor_ilp(
     categories: tuple[ColorCategory, ...],
     type_graph: TypeGraph,
 ) -> tuple[IlpProblem, tuple[ColorSubcategory, ...]]:
-    """Subcategory count variables plus the category and type equations."""
+    """Count variables for the maximal subcategories, the category
+    equations and the covering rows of the active types."""
     subcats: list[ColorSubcategory] = []
     for ci, category in enumerate(categories):
         if category.color_count == 0:
@@ -221,7 +268,7 @@ def build_precolor_ilp(
             and t not in reduced.frozen_types
             and all(not type_graph.has_edge(t, u) for u in base)
         ]
-        for type_set in _independent_supersets(type_graph, base, addable):
+        for type_set in maximal_independent_supersets(type_graph, base, addable):
             for a in type_set:
                 for b in type_set:
                     assert a == b or not type_graph.has_edge(a, b)
@@ -236,8 +283,8 @@ def build_precolor_ilp(
         coeffs = tuple(1 if sc.category_index == ci else 0 for sc in subcats)
         constraints.append(equal(coeffs, category.color_count))
     for t in reduced.active_types:
-        coeffs = tuple(1 if t in sc.type_set else 0 for sc in subcats)
-        constraints.append(equal(coeffs, reduced.effective_size(t)))
+        coeffs = tuple(-1 if t in sc.type_set else 0 for sc in subcats)
+        constraints.append(at_most(coeffs, -reduced.effective_size(t)))
     problem = IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
     return problem, tuple(subcats)
 
@@ -251,10 +298,11 @@ def reconstruct_coloring(
     """Turn feasible subcategory counts into a full proper coloring.
 
     Within each category, colors ascend into subcategories by ascending
-    type-set mask; on each active type, the colors routed there and not
-    already pinned to a precolored vertex land on the uncolored vertices in
-    id order.  Collapsed vertices copy their representative.  The per-type
-    equations make the counts work out exactly.
+    type-set mask.  On each active type, the colors routed there and not
+    already pinned to a precolored vertex are fresh; the lowest of them
+    land on the uncolored vertices in id order and the surplus stays off
+    the type.  Collapsed vertices copy their representative.  The covering
+    rows guarantee enough fresh colors.
     """
     occupancy: dict[int, frozenset[int]] = {}
     for ci, category in enumerate(categories):
@@ -276,7 +324,7 @@ def reconstruct_coloring(
         routed = sorted(c for c, types in occupancy.items() if t in types)
         fresh = [c for c in routed if c not in pinned]
         open_slots = [v for v in members if v not in color_of]
-        assert len(fresh) == len(open_slots), "type equation does not balance"
+        assert len(fresh) >= len(open_slots), "type row is not covered"
         for v, c in zip(open_slots, fresh):
             color_of[v] = c
     for rep, members in reduced.collapsed.items():

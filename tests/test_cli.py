@@ -54,6 +54,12 @@ def test_overlapping_terminals_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_huge_header_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "huge.nd", "p graph 1000000000000\ne 1 2\n")
+    assert run(["nd", "--input", path]) == 2
+    assert "limit" in capsys.readouterr().err
+
+
 def test_unknown_flag_exit_2(tmp_path, capsys):
     assert run(["motif", "--frobnicate"]) == 2
     assert run(["nosuchcommand"]) == 2

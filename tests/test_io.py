@@ -62,6 +62,7 @@ def test_parse_paths_and_precolor():
         ("p graph 2\nvcolor 1 1\nmotif 1 1\n", "has no color"),
         ("p graph 2\nvcolor 1 1\nvcolor 2 1\n", "motif"),
         ("p graph 2\nvcolor 1 1\nvcolor 1 2\nmotif 1 1\n", "duplicate color"),
+        ("p graph 1000000000000\ne 1 2\n", "exceeds the limit"),
     ],
 )
 def test_parse_errors(text, match):

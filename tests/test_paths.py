@@ -203,6 +203,18 @@ def test_large_k_compiles_a_small_system():
     validate_paths_witness(inst, report.witness.paths, type_of=partition.type_of)
 
 
+def test_long_chain_needs_no_recursion():
+    # every vertex of a long path is its own type, so the only chain has
+    # k - 2 types and the chain search goes k deep
+    inst = PathsInstance(path_graph(3000), ((0, 2999),))
+    report = solve_paths(inst)
+    assert report.nd == 3000
+    assert report.answer
+    partition = compute_type_partition(inst.graph)
+    validate_paths_witness(inst, report.witness.paths, type_of=partition.type_of)
+    assert report.witness.paths == (tuple(range(3000)),)
+
+
 def test_agrees_with_oracle_on_random_instances():
     rng = random.Random(889)
     yes = 0

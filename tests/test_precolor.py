@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from ndsolve import (
     Graph,
@@ -12,9 +13,11 @@ from ndsolve import (
     validate_coloring_witness,
 )
 from ndsolve.ilp import solve_feasibility
+from ndsolve.decomposition import TypeGraph
 from ndsolve.precolor import (
     build_precolor_ilp,
     compute_color_categories,
+    maximal_independent_supersets,
 )
 from helpers import small_sweep_instance
 
@@ -190,6 +193,20 @@ def test_active_types_are_colored_rainbow():
             assert len(set(used)) == len(used) == reduced.effective_size(t)
 
 
+def _brute_maximal(h, base, addable):
+    """Maximal supersets of ``base`` by pairwise non-adjacent ``addable``
+    types, by listing every independent subset."""
+    independent = [
+        frozenset(c)
+        for r in range(len(addable) + 1)
+        for c in combinations(addable, r)
+        if not any(h.has_edge(a, b) for a, b in combinations(c, 2))
+    ]
+    return {
+        base | s for s in independent if not any(s < other for other in independent)
+    }
+
+
 def test_subcategory_type_sets_are_independent_in_h():
     rng = random.Random(1100)
     for _ in range(40):
@@ -203,3 +220,57 @@ def test_subcategory_type_sets_are_independent_in_h():
                 for b in types[i + 1 :]:
                     assert not h.has_edge(a, b)
             assert cats[sc.category_index].type_set <= sc.type_set
+        # per category: exactly the maximal independent supersets, once each
+        for ci, cat in enumerate(cats):
+            if cat.color_count == 0:
+                continue
+            addable = [
+                t
+                for t in range(h.num_types)
+                if t not in cat.type_set
+                and t not in reduced.frozen_types
+                and not any(h.has_edge(t, u) for u in cat.type_set)
+            ]
+            mine = [sc.type_set for sc in subcats if sc.category_index == ci]
+            assert len(mine) == len(set(mine))
+            assert set(mine) == _brute_maximal(h, cat.type_set, addable)
+
+
+def test_maximal_independent_supersets_match_brute_force():
+    rng = random.Random(1200)
+    for _ in range(300):
+        k = rng.randint(1, 8)
+        density = rng.random()
+        adj = [set() for _ in range(k)]
+        for a, b in combinations(range(k), 2):
+            if rng.random() < density:
+                adj[a].add(b)
+                adj[b].add(a)
+        h = TypeGraph(k, tuple(tuple(sorted(s)) for s in adj), (1,) * k, (False,) * k)
+        base = frozenset([rng.randrange(k)]) if rng.random() < 0.3 else frozenset()
+        addable = [
+            t
+            for t in range(k)
+            if t not in base and not adj[t] & base and rng.random() < 0.9
+        ]
+        got = list(maximal_independent_supersets(h, base, addable))
+        assert len(got) == len(set(got))
+        assert set(got) == _brute_maximal(h, base, addable)
+
+
+def _matching_instance(k):
+    # k disjoint edges: each edge is one clique type, no two types adjacent
+    graph = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    return PrecolorInstance(graph, {0: 1}, 2)
+
+
+def test_perfect_matching_compiles_one_subcategory_per_category():
+    report = solve_precolor(_matching_instance(6))
+    assert report.nd == 6
+    assert report.ilp_vars == 2
+    assert report.answer
+    inst = _matching_instance(60)
+    report = solve_precolor(inst)
+    assert report.nd == 60
+    assert report.answer
+    validate_coloring_witness(inst, report.witness.colors)
