@@ -8,9 +8,11 @@ each of its classes is a clique or an independent set, and between any two
 classes there are either all possible edges or none.  Because the relation
 is an equivalence, grouping vertices by their canonical neighborhoods
 yields the coarsest type-respecting partition directly, with no merge pass:
-:func:`compute_type_partition` hashes the sorted open and closed
-neighborhood of every vertex and unions the groups, running in time
-linear in the adjacency size.
+:func:`compute_type_partition` looks up the sorted open, then closed,
+neighborhood of each vertex among those of the class representatives seen
+so far and opens a new class when neither matches, in one scan, in time
+linear in the adjacency size.  :func:`build_type_graph` then reads the
+quotient from one representative row per class.
 
 The number of classes is the neighborhood diversity of the graph.  A graph
 with a vertex cover of size ``c`` has at most ``2**c + c`` classes, which
@@ -19,6 +21,7 @@ with a vertex cover of size ``c`` has at most ``2**c + c`` classes, which
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -89,45 +92,29 @@ def compute_type_partition(graph: Graph) -> TypePartition:
     classes there are.
     """
     n = graph.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    open_first: dict[tuple[int, ...], int] = {}
-    closed_first: dict[tuple[int, ...], int] = {}
-    for v in range(n):
-        row = graph.adj[v]
-        leader = open_first.setdefault(row, v)
-        if leader != v:
-            union(leader, v)
-        # closed neighborhood: splice v into its own sorted neighbor row
-        i = 0
-        while i < len(row) and row[i] < v:
-            i += 1
-        closed = row[:i] + (v,) + row[i:]
-        leader = closed_first.setdefault(closed, v)
-        if leader != v:
-            union(leader, v)
-
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    classes = tuple(tuple(groups[root]) for root in sorted(groups))
+    adj = graph.adj
+    # open and closed neighborhood of each class's first member -> class id;
+    # any later member of the class matches one of the two
+    open_type: dict[tuple[int, ...], int] = {}
+    closed_type: dict[tuple[int, ...], int] = {}
+    members: list[list[int]] = []
     type_of = [0] * n
-    flags = []
-    for t, members in enumerate(classes):
-        for v in members:
-            type_of[v] = t
-        flags.append(len(members) >= 2 and graph.has_edge(members[0], members[1]))
+    for v in range(n):
+        row = adj[v]
+        t = open_type.get(row)
+        if t is None:
+            i = bisect_left(row, v)
+            closed = row[:i] + (v,) + row[i:]
+            t = closed_type.get(closed)
+            if t is None:
+                t = len(members)
+                members.append([])
+                open_type[row] = t
+                closed_type[closed] = t
+        members[t].append(v)
+        type_of[v] = t
+    classes = tuple(map(tuple, members))
+    flags = [len(c) >= 2 and graph.has_edge(c[0], c[1]) for c in classes]
     return TypePartition(tuple(type_of), classes, tuple(flags), len(classes))
 
 
@@ -167,34 +154,36 @@ def verify_partition(graph: Graph, partition: TypePartition) -> bool:
 
 
 def build_type_graph(graph: Graph, partition: TypePartition) -> TypeGraph:
-    """Build the quotient graph, verifying the all-or-nothing edge structure.
+    """Build the quotient graph from one representative row per class.
 
-    Raises ``ValueError`` when some pair of classes is joined by only part
-    of the possible edges, or a class is neither a clique nor independent;
-    either signals a corrupted partition.
+    A class's first member sees every other class either completely or not
+    at all, so counting its neighbors by type gives that class's quotient
+    row in O(deg) time, O(m) over all classes.  Raises ``ValueError`` when
+    a representative sees only part of a class (part of its own class other
+    than itself, for a clique class, or any of it for an independent one),
+    or when the rows read this way are not symmetric; either signals a
+    corrupted partition.  Only the representatives are read, so a partition
+    that comes from outside needs :func:`verify_partition` as the full check.
     """
     k = partition.num_types
     size = tuple(len(members) for members in partition.classes)
-    intra = [0] * k
-    cross: Counter = Counter()
     type_of = partition.type_of
-    for u, v in graph.edges():
-        tu, tv = type_of[u], type_of[v]
-        if tu == tv:
-            intra[tu] += 1
-        else:
-            cross[(min(tu, tv), max(tu, tv))] += 1
-
-    for t in range(k):
-        expected = size[t] * (size[t] - 1) // 2 if partition.clique_flag[t] else 0
-        if intra[t] != expected:
+    adj: list[set[int]] = []
+    for t, members in enumerate(partition.classes):
+        if not members:
+            raise ValueError(f"class {t} is empty")
+        seen = Counter(map(type_of.__getitem__, graph.adj[members[0]]))
+        own = size[t] - 1 if partition.clique_flag[t] else 0
+        if seen.pop(t, 0) != own:
             raise ValueError(f"class {t} is neither a clique nor independent")
-    adj: list[set[int]] = [set() for _ in range(k)]
-    for (a, b), count in cross.items():
-        if count != size[a] * size[b]:
-            raise ValueError(f"classes {a} and {b} are only partially joined")
-        adj[a].add(b)
-        adj[b].add(a)
+        for b, count in seen.items():
+            if count != size[b]:
+                raise ValueError(
+                    f"classes {min(t, b)} and {max(t, b)} are only partially joined"
+                )
+        adj.append(set(seen))
+    if any(a not in adj[b] for a in range(k) for b in adj[a]):
+        raise ValueError("representative rows are not symmetric")
     return TypeGraph(
         num_types=k,
         adj=tuple(tuple(sorted(s)) for s in adj),

@@ -12,7 +12,8 @@ class Graph:
     """Immutable simple graph; ``adj[v]`` is the sorted neighbor tuple of ``v``.
 
     Build through :meth:`from_edges`, which checks vertex ids, rejects
-    self-loops and duplicate edges, and symmetrizes the adjacency.
+    self-loops and duplicate edges, and symmetrizes the adjacency; or
+    through :meth:`from_neighbor_sets` from rows that are already checked.
     """
 
     n: int
@@ -32,7 +33,17 @@ class Graph:
                 raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             neighbors[u].add(v)
             neighbors[v].add(u)
-        return cls(n, tuple(tuple(sorted(s)) for s in neighbors))
+        return cls.from_neighbor_sets(neighbors)
+
+    @classmethod
+    def from_neighbor_sets(cls, neighbors: Iterable[Iterable[int]]) -> Graph:
+        """Freeze neighbor rows, one per vertex, into sorted tuples.
+
+        The rows are taken as they are: the caller has already checked ids,
+        self-loops and duplicates and added each edge to both endpoints.
+        """
+        adj = tuple(tuple(sorted(row)) for row in neighbors)
+        return cls(len(adj), adj)
 
     @property
     def m(self) -> int:

@@ -25,9 +25,9 @@ from .instances import MotifInstance, PathsInstance, PrecolorInstance
 
 Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 
-# Largest vertex count a header may declare.  Graph.from_edges allocates one
-# neighbor set per vertex before it reads an edge, about 0.24 KB each, so
-# the cap bounds an edgeless graph at roughly 240 MB.
+# Largest vertex count a header may declare.  parse_instance allocates one
+# neighbor set per vertex as soon as it reads the header, before any edge,
+# about 0.24 KB each, so the cap bounds an edgeless graph at roughly 240 MB.
 MAX_VERTICES = 10**6
 
 _FAMILY = {
@@ -71,8 +71,7 @@ def _color(token: str, line: int) -> int:
 def parse_instance(text: str) -> Instance:
     """Parse instance text into a graph or an annotated problem instance."""
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
+    neighbors: list[set[int]] | None = None  # allocated by the header
     vertex_color: dict[int, int] = {}
     motif: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
@@ -81,12 +80,36 @@ def parse_instance(text: str) -> Instance:
     num_colors: int | None = None
     family: str | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         keyword = tokens[0]
+
+        # Edge lines are nearly all of a large file: convert both ids
+        # inline, and let _vertex word the error when that fails.
+        if keyword == "e" and neighbors is not None:
+            if len(tokens) != 3:
+                raise ParseError("edge line must be 'e <u> <v>'", line_no)
+            try:
+                u = int(tokens[1]) - 1
+                v = int(tokens[2]) - 1
+            except ValueError:
+                u = v = -1
+            if not (0 <= u < n and 0 <= v < n):
+                u = _vertex(tokens[1], n, line_no)
+                v = _vertex(tokens[2], n, line_no)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u + 1}", line_no)
+            row = neighbors[u]
+            if v in row:
+                a, b = sorted((u, v))
+                raise ParseError(f"duplicate edge ({a + 1}, {b + 1})", line_no)
+            row.add(v)
+            neighbors[v].add(u)
+            continue
 
         if keyword == "p":
             if n is not None:
@@ -100,6 +123,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(
                     f"vertex count exceeds the limit {MAX_VERTICES}: {n}", line_no
                 )
+            neighbors = [set() for _ in range(n)]
             continue
         if n is None:
             raise ParseError("'p graph <n>' header must come first", line_no)
@@ -114,21 +138,7 @@ def parse_instance(text: str) -> Instance:
                     line_no,
                 )
 
-        if keyword == "e":
-            if len(tokens) != 3:
-                raise ParseError("edge line must be 'e <u> <v>'", line_no)
-            u = _vertex(tokens[1], n, line_no)
-            v = _vertex(tokens[2], n, line_no)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u + 1}", line_no)
-            key = (min(u, v), max(u, v))
-            if key in seen_edges:
-                raise ParseError(
-                    f"duplicate edge ({key[0] + 1}, {key[1] + 1})", line_no
-                )
-            seen_edges.add(key)
-            edges.append((u, v))
-        elif keyword == "vcolor":
+        if keyword == "vcolor":
             if len(tokens) != 3:
                 raise ParseError("vertex color line must be 'vcolor <v> <c>'", line_no)
             v = _vertex(tokens[1], n, line_no)
@@ -174,7 +184,7 @@ def parse_instance(text: str) -> Instance:
 
     if n is None:
         raise ParseError("missing 'p graph <n>' header")
-    graph = Graph.from_edges(n, edges)
+    graph = Graph.from_neighbor_sets(neighbors)
 
     try:
         if family is None:

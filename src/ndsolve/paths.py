@@ -64,27 +64,39 @@ def minimal_chains(
     chain T1..Tr is yielded when, in ``s_type, T1..Tr, t_type``, exactly
     the consecutive members link: any other link would shortcut to a
     smaller route.  Depth-first on an explicit stack, lowest type id
-    first, each chain once.
+    first, each chain once.  A candidate is tested in O(1): ``near[x]``
+    counts the chain members before the last that are adjacent to ``x``.
+    ``near[s_type]`` starts at 1, and every later member but the last has
+    its predecessor among those, so a type already on the chain is never
+    a candidate either.
     """
     linked = type_graph.linked
     if linked(s_type, t_type):
         yield ()
         return
+    adj = type_graph.adj
+    near = [0] * type_graph.num_types
+    near[s_type] = 1
     path = [s_type]
-    stack = [iter(type_graph.adj[s_type])]  # stack[i] walks the neighbours of path[i]
+    stack = [iter(adj[s_type])]  # stack[i] walks the neighbours of path[i]
     while stack:
         for x in stack[-1]:
-            if x in path or any(linked(y, x) for y in path[:-1]):
+            if near[x]:
                 continue
             if linked(x, t_type):
                 yield tuple(path[1:]) + (x,)
             else:
+                for w in adj[path[-1]]:
+                    near[w] += 1
                 path.append(x)
-                stack.append(iter(type_graph.adj[x]))
+                stack.append(iter(adj[x]))
                 break
         else:
             stack.pop()
             path.pop()
+            if path:
+                for w in adj[path[-1]]:
+                    near[w] -= 1
 
 
 def route_is_valid(

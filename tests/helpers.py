@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 
-from ndsolve import Graph
+from ndsolve import Graph, TypeGraph, TypePartition
 from ndsolve.generate import TypeTemplate, random_instance, random_template
 from ndsolve.ilp import IlpProblem, LinearConstraint
 
@@ -46,6 +47,44 @@ def brute_min_type_partition(g: Graph) -> int:
     if n:
         rec(0, [])
     return best[0]
+
+
+def reference_type_graph(g: Graph, partition: TypePartition) -> TypeGraph:
+    """Quotient graph from a count of every edge, with all-or-nothing checks.
+
+    Each class must hold all or none of its internal edges (as its clique
+    flag says), and each class pair all or none of the edges between them;
+    otherwise ``ValueError``.  O(m), against the library's representative
+    rows.
+    """
+    k = partition.num_types
+    size = tuple(len(members) for members in partition.classes)
+    intra = [0] * k
+    cross: Counter = Counter()
+    type_of = partition.type_of
+    for u, v in g.edges():
+        tu, tv = type_of[u], type_of[v]
+        if tu == tv:
+            intra[tu] += 1
+        else:
+            cross[(min(tu, tv), max(tu, tv))] += 1
+
+    for t in range(k):
+        expected = size[t] * (size[t] - 1) // 2 if partition.clique_flag[t] else 0
+        if intra[t] != expected:
+            raise ValueError(f"class {t} is neither a clique nor independent")
+    adj: list[set[int]] = [set() for _ in range(k)]
+    for (a, b), count in cross.items():
+        if count != size[a] * size[b]:
+            raise ValueError(f"classes {a} and {b} are only partially joined")
+        adj[a].add(b)
+        adj[b].add(a)
+    return TypeGraph(
+        num_types=k,
+        adj=tuple(tuple(sorted(s)) for s in adj),
+        size=size,
+        clique_flag=partition.clique_flag,
+    )
 
 
 def exhaustive_max_matching(num_left: int, num_right: int, edges) -> int:

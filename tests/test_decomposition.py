@@ -10,6 +10,7 @@ from ndsolve import (
     complete_graph,
     compute_type_partition,
     compute_vertex_cover,
+    generate_from_template,
     path_graph,
     same_type,
     verify_partition,
@@ -19,7 +20,9 @@ from helpers import (
     brute_min_type_partition,
     literal_same_type,
     random_labeled_graph,
+    reference_type_graph,
 )
+from ndsolve.generate import sparse_template
 
 
 @pytest.mark.parametrize("n", [2, 10, 100])
@@ -133,6 +136,52 @@ def test_type_graph_rejects_corrupted_partition():
     )
     with pytest.raises(ValueError):
         build_type_graph(p4, corrupt)
+
+
+@pytest.mark.parametrize(
+    "graph, partition, match",
+    [
+        # the representative of {0} sees one of the two vertices of {1, 2}
+        (
+            path_graph(3),
+            TypePartition((0, 1, 1), ((0,), (1, 2)), (False, True), 2),
+            "partially joined",
+        ),
+        # the representative of an independent class sees its own class
+        (
+            path_graph(3),
+            TypePartition((0, 0, 0), ((0, 1, 2),), (False,), 1),
+            "neither a clique nor independent",
+        ),
+        (
+            Graph.from_edges(2, []),
+            TypePartition((0, 0), ((0, 1), ()), (False, False), 2),
+            "empty",
+        ),
+        # 0 lists 1 as a neighbor, but 1 does not list 0
+        (
+            Graph(2, ((1,), ())),
+            TypePartition((0, 1), ((0,), (1,)), (False, False), 2),
+            "not symmetric",
+        ),
+    ],
+)
+def test_type_graph_names_each_corruption(graph, partition, match):
+    with pytest.raises(ValueError, match=match):
+        build_type_graph(graph, partition)
+
+
+def test_type_graph_matches_edge_count_reference():
+    rng = random.Random(2718)
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    for n in (8, 20, 40):
+        for p in (0.1, 0.5, 0.9):
+            graphs.extend(random_labeled_graph(rng, n, p) for _ in range(10))
+    graphs.append(generate_from_template(sparse_template(6, 10_000, seed=4), 9))
+    for g in graphs:
+        p = compute_type_partition(g)
+        assert verify_partition(g, p)
+        assert build_type_graph(g, p) == reference_type_graph(g, p)
 
 
 def exhaustive_has_cover(g: Graph, budget: int) -> bool:

@@ -63,11 +63,23 @@ def test_parse_paths_and_precolor():
         ("p graph 2\nvcolor 1 1\nvcolor 2 1\n", "motif"),
         ("p graph 2\nvcolor 1 1\nvcolor 1 2\nmotif 1 1\n", "duplicate color"),
         ("p graph 1000000000000\ne 1 2\n", "exceeds the limit"),
+        ("p graph 2\ne 1 x\n", "not an integer"),
+        ("p graph 2\ne 0 1\n", "out of range"),
+        ("p graph 3\ne 1 2 3\n", "edge line must be"),
+        ("p graph 3\ne 1\n", "edge line must be"),
+        ("p graph 2\ne 1 2\ne 2 1\n", r"duplicate edge \(1, 2\)"),
+        ("# no header yet\ne 1 2\n", "header"),
     ],
 )
 def test_parse_errors(text, match):
     with pytest.raises(ParseError, match=match):
         parse_instance(text)
+
+
+def test_edge_line_with_tabs_and_comment():
+    plain = parse_instance("p graph 3\ne 1 2\ne 3 2\n")
+    spaced = parse_instance("p graph 3\ne\t1 2   # first\n\te 3\t2\t#second\n")
+    assert spaced == plain
 
 
 def test_parse_error_carries_line_number():
