@@ -7,9 +7,15 @@ import json
 import statistics
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .decomposition import build_type_graph, compute_type_partition
-from .generate import random_instance, random_template, sparse_template
+from .generate import (
+    generate_from_template,
+    random_instance,
+    random_template,
+    sparse_template,
+)
 from .graphs import Graph
 from .ilp import format_problem
 from .instances import MotifInstance, PathsInstance, PrecolorInstance, SolveReport
@@ -25,12 +31,20 @@ from .precolor import (
     solve_precolor,
 )
 
-_SOLVERS = {"motif": solve_motif, "paths": solve_paths, "precolor": solve_precolor}
-_ORACLES = {"motif": oracle_motif, "paths": oracle_paths, "precolor": oracle_precolor}
-_INSTANCE_TYPES = {
-    "motif": MotifInstance,
-    "paths": PathsInstance,
-    "precolor": PrecolorInstance,
+
+class _Problem(NamedTuple):
+    instance_type: type
+    solve: Callable
+    oracle: Callable
+    witness_type: type
+
+
+_PROBLEMS = {
+    "motif": _Problem(MotifInstance, solve_motif, oracle_motif, MotifWitness),
+    "paths": _Problem(PathsInstance, solve_paths, oracle_paths, PathsWitness),
+    "precolor": _Problem(
+        PrecolorInstance, solve_precolor, oracle_precolor, ColoringWitness
+    ),
 }
 
 EXIT_OK = 0
@@ -84,10 +98,18 @@ def _emit_report(problem: str, report: SolveReport, args, check=None) -> None:
         print(f"check: oracle={check['oracle_answer']} agree={check['agree']}")
 
 
-def _load(args, expected: type | None):
-    text = _read_input(args.input)
-    instance = parse_instance(text)
-    if expected is not None and not isinstance(instance, expected):
+def _load(args, problem: str | None = None):
+    """Parse ``--input``; with a problem name, check the instance kind.
+
+    A bare graph file is a paths instance with no terminal pairs.
+    """
+    instance = parse_instance(_read_input(args.input))
+    if problem is None:
+        return instance
+    if problem == "paths" and isinstance(instance, Graph):
+        return PathsInstance(instance, ())
+    expected = _PROBLEMS[problem].instance_type
+    if not isinstance(instance, expected):
         raise ParseError(
             f"input is a {type(instance).__name__}, expected {expected.__name__}"
         )
@@ -95,7 +117,7 @@ def _load(args, expected: type | None):
 
 
 def _cmd_nd(args) -> int:
-    instance = _load(args, None)
+    instance = _load(args)
     graph = instance if isinstance(instance, Graph) else instance.graph
     partition = compute_type_partition(graph)
     type_graph = build_type_graph(graph, partition)
@@ -141,52 +163,47 @@ def _dump_ilp(problem_name: str, instance) -> None:
     sys.stderr.write(format_problem(ilp))
 
 
-def _cmd_solve(problem_name: str, args) -> int:
-    if problem_name == "paths":
-        # a bare graph file is a paths instance with no terminal pairs
-        instance = _load(args, None)
-        if isinstance(instance, Graph):
-            instance = PathsInstance(instance, ())
-        elif not isinstance(instance, PathsInstance):
-            raise ParseError(
-                f"input is a {type(instance).__name__}, expected PathsInstance"
-            )
-    else:
-        instance = _load(args, _INSTANCE_TYPES[problem_name])
+def _cmd_solve(args) -> int:
+    problem = _PROBLEMS[args.problem]
+    instance = _load(args, args.problem)
     if getattr(args, "dump_ilp", False):
-        _dump_ilp(problem_name, instance)
-    report = _SOLVERS[problem_name](instance)
+        _dump_ilp(args.problem, instance)
+    report = problem.solve(instance)
     check = None
     if args.check:
-        answer, _ = _ORACLES[problem_name](instance)
+        answer, _ = problem.oracle(instance)
         check = {
             "oracle_answer": "yes" if answer else "no",
             "agree": answer == report.answer,
         }
-    _emit_report(problem_name, report, args, check)
+    _emit_report(args.problem, report, args, check)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    problem_name = args.problem
-    instance = _load(args, _INSTANCE_TYPES[problem_name])
+    problem = _PROBLEMS[args.problem]
+    instance = _load(args, args.problem)
     start = time.perf_counter()
-    answer, raw = _ORACLES[problem_name](instance)
+    answer, raw = problem.oracle(instance)
     elapsed = (time.perf_counter() - start) * 1000.0
     partition = compute_type_partition(instance.graph)
-    witness = None
-    if raw is not None:
-        if problem_name == "motif":
-            witness = MotifWitness(tuple(raw))
-        elif problem_name == "paths":
-            witness = PathsWitness(tuple(raw))
-        else:
-            witness = ColoringWitness(tuple(raw))
+    witness = problem.witness_type(tuple(raw)) if raw is not None else None
     report = SolveReport(
         answer=answer, nd=partition.num_types, elapsed_ms=elapsed, witness=witness
     )
-    _emit_report(f"oracle-{problem_name}", report, args)
+    _emit_report(f"oracle-{args.problem}", report, args)
     return EXIT_OK
+
+
+def _instance_params(args) -> dict:
+    """The ``random_instance`` keywords from the shared instance flags."""
+    return {
+        "colors": args.colors,
+        "motif_size": args.motif_size,
+        "num_pairs": args.pairs,
+        "num_colors": args.num_colors,
+        "precolor_fraction": args.precolor_fraction,
+    }
 
 
 def _cmd_gen(args) -> int:
@@ -194,19 +211,10 @@ def _cmd_gen(args) -> int:
         args.k, args.n, args.seed, edge_prob=args.edge_prob, clique_prob=args.clique_prob
     )
     if args.problem == "graph":
-        from .generate import generate_from_template
-
         instance = generate_from_template(template, args.seed)
     else:
         instance = random_instance(
-            args.problem,
-            template,
-            args.seed,
-            colors=args.colors,
-            motif_size=args.motif_size,
-            num_pairs=args.pairs,
-            num_colors=args.num_colors,
-            precolor_fraction=args.precolor_fraction,
+            args.problem, template, args.seed, **_instance_params(args)
         )
     text = serialize_instance(instance)
     if args.output:
@@ -223,30 +231,26 @@ def bench_cells(
     ns: list[int],
     seeds: int,
     base_seed: int = 0,
-    template_kind: str = "auto",
     **params,
 ) -> list[dict]:
     """Run the benchmark grid; one row per (k, n) cell.
 
-    Instance generation is deterministic per seed.  With the default
-    "auto" template, cells of 1000+ vertices use the sparse template so a
-    fully-joined pair of huge classes cannot blow the edge count up
-    quadratically.  Cells run one after another in one thread, so no cell's
-    time includes waiting on another.
+    Instance generation is deterministic per seed; ``params`` go to
+    :func:`random_instance`.  Cells of 1000+ vertices use the sparse
+    template so a fully-joined pair of huge classes cannot blow the edge
+    count up quadratically.  Cells run one after another in one thread, so
+    no cell's time includes waiting on another.
     """
-
-    def make_template(k: int, n: int, seed: int):
-        sparse = template_kind == "sparse" or (template_kind == "auto" and n >= 1000)
-        return sparse_template(k, n, seed) if sparse else random_template(k, n, seed)
+    solve = _PROBLEMS[problem].solve
 
     def run_cell(k: int, n: int) -> dict:
         times: list[float] = []
         ilp_vars = None
         for i in range(seeds):
             seed = base_seed + i
-            template = make_template(k, n, seed)
-            instance = random_instance(problem, template, seed, **params)
-            report = _SOLVERS[problem](instance)
+            make_template = sparse_template if n >= 1000 else random_template
+            instance = random_instance(problem, make_template(k, n, seed), seed, **params)
+            report = solve(instance)
             times.append(report.elapsed_ms)
             if report.ilp_vars is not None:
                 ilp_vars = report.ilp_vars
@@ -270,12 +274,7 @@ def _cmd_bench(args) -> int:
         args.n,
         args.seeds,
         base_seed=args.seed,
-        template_kind=args.template,
-        colors=args.colors,
-        motif_size=args.motif_size,
-        num_pairs=args.pairs,
-        num_colors=args.num_colors,
-        precolor_fraction=args.precolor_fraction,
+        **_instance_params(args),
     )
     if args.json:
         print(json.dumps(rows))
@@ -307,12 +306,8 @@ def _add_io_args(sub, check: bool = True, dump_ilp: bool = False) -> None:
         )
 
 
-def _add_gen_args(sub) -> None:
-    sub.add_argument("--k", type=int, default=3, help="number of type classes")
-    sub.add_argument("--n", type=int, default=12, help="number of vertices")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--edge-prob", type=float, default=0.5)
-    sub.add_argument("--clique-prob", type=float, default=0.5)
+def _add_instance_args(sub) -> None:
+    """Instance flags shared by ``gen`` and ``bench``; see :func:`_instance_params`."""
     sub.add_argument("--colors", type=int, default=4, help="motif palette size")
     sub.add_argument("--motif-size", type=int, default=None)
     sub.add_argument("--pairs", type=int, default=None, help="terminal pair count")
@@ -330,67 +325,55 @@ def build_parser() -> argparse.ArgumentParser:
     nd = subs.add_parser("nd", help="print the type decomposition")
     nd.add_argument("--input", default="-")
     nd.add_argument("--json", action="store_true")
+    nd.set_defaults(handler=_cmd_nd)
 
-    for name in ("motif", "paths", "precolor"):
+    for name in _PROBLEMS:
         sub = subs.add_parser(name, help=f"solve a {name} instance")
-        _add_io_args(sub, check=True, dump_ilp=name in ("paths", "precolor"))
+        _add_io_args(sub, check=True, dump_ilp=name != "motif")
+        sub.set_defaults(handler=_cmd_solve, problem=name)
 
     oracle = subs.add_parser("oracle", help="run a brute-force decider")
-    oracle.add_argument("problem", choices=("motif", "paths", "precolor"))
+    oracle.add_argument("problem", choices=tuple(_PROBLEMS))
     _add_io_args(oracle, check=False)
+    oracle.set_defaults(handler=_cmd_oracle)
 
     gen = subs.add_parser("gen", help="generate a random instance")
-    gen.add_argument("problem", choices=("graph", "motif", "paths", "precolor"))
-    _add_gen_args(gen)
+    gen.add_argument("problem", choices=("graph", *_PROBLEMS))
+    gen.add_argument("--k", type=int, default=3, help="number of type classes")
+    gen.add_argument("--n", type=int, default=12, help="number of vertices")
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--edge-prob", type=float, default=0.5)
+    gen.add_argument("--clique-prob", type=float, default=0.5)
+    _add_instance_args(gen)
     gen.add_argument("--output", default=None, help="write to a file instead of stdout")
+    gen.set_defaults(handler=_cmd_gen)
 
     bench = subs.add_parser("bench", help="timing grid over (k, n) cells")
-    bench.add_argument("--problem", required=True, choices=("motif", "paths", "precolor"))
+    bench.add_argument("--problem", required=True, choices=tuple(_PROBLEMS))
     bench.add_argument("--k", type=_int_list, default=[2, 4])
     bench.add_argument("--n", type=_int_list, default=[100])
     bench.add_argument("--seeds", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0, help="base seed")
-    bench.add_argument(
-        "--template",
-        choices=("auto", "random", "sparse"),
-        default="auto",
-        help="template family; auto switches to sparse at 1000+ vertices",
-    )
     bench.add_argument("--json", action="store_true")
-    bench.add_argument("--colors", type=int, default=4)
-    bench.add_argument("--motif-size", type=int, default=None)
-    bench.add_argument("--pairs", type=int, default=None)
-    bench.add_argument("--num-colors", type=int, default=4)
-    bench.add_argument("--precolor-fraction", type=float, default=0.35)
+    _add_instance_args(bench)
+    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 
 def run(argv: list[str]) -> int:
     """Run one CLI invocation; returns the process exit status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "nd":
-            return _cmd_nd(args)
-        if args.command in _SOLVERS:
-            return _cmd_solve(args.command, args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK
 
 
 def main() -> None:

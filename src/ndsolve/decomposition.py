@@ -209,33 +209,31 @@ def compute_vertex_cover(graph: Graph, budget: int) -> tuple[int, ...] | None:
     forces all its neighbors into the cover, so every branch spends budget
     and the search tree has at most 2**budget nodes.  Degree-0 vertices are
     never picked.  Deterministic (ties break toward the lowest vertex id).
+    The branches wait on an explicit stack, so a large budget cannot hit
+    the recursion limit.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     adj = {v: set(graph.adj[v]) for v in range(graph.n) if graph.adj[v]}
-    cover = _cover_branch(adj, budget)
-    return tuple(sorted(cover)) if cover is not None else None
-
-
-def _cover_branch(adj: dict[int, set[int]], budget: int) -> set[int] | None:
-    if not adj:
-        return set()
-    if budget == 0:
-        return None
-    v = max(adj, key=lambda u: (len(adj[u]), -u))
-
-    taken = _without(adj, {v})
-    res = _cover_branch(taken, budget - 1)
-    if res is not None:
-        res.add(v)
-        return res
-
-    forced = adj[v]
-    if len(forced) <= budget:
-        res = _cover_branch(_without(adj, forced | {v}), budget - len(forced))
-        if res is not None:
-            res.update(forced)
-            return res
+    # pending branches, the next one on top: (graph before the branch, the
+    # vertices it puts in the cover, budget left after them, depth); ``path``
+    # holds the vertex sets picked from the root down to the current branch
+    stack = [(adj, set(), budget, 0)]
+    path: list[set[int]] = []
+    while stack:
+        parent, picked, left, depth = stack.pop()
+        del path[depth:]
+        path.append(picked)
+        adj = _without(parent, picked)
+        if not adj:
+            return tuple(sorted(v for vs in path for v in vs))
+        if left == 0:
+            continue
+        v = max(adj, key=lambda u: (len(adj[u]), -u))
+        # excluding v forces its neighbors in, which also isolates v
+        if len(adj[v]) <= left:
+            stack.append((adj, adj[v], left - len(adj[v]), depth + 1))
+        stack.append((adj, {v}, left - 1, depth + 1))
     return None
 
 

@@ -1,11 +1,17 @@
-"""Maximum bipartite matching via Hopcroft-Karp layered augmentation."""
+"""Maximum bipartite matching by one augmenting-path search per left node.
+
+The solvers match tiny graphs: :func:`ndsolve.motif.skeleton_exists`, the
+only caller, puts at most |M| candidate types on the right and at most |M|
+motif color occurrences on the left, since each color is repeated at most
+min(count, number of types) times.  At that size the plain O(V * E)
+augmenting-path method (Kuhn's algorithm) is as fast as Hopcroft-Karp's
+layered phases and much shorter.  The search runs on an explicit stack, so
+a long augmenting path never hits the recursion limit.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
-
-_INF = -1
 
 
 def max_bipartite_matching(
@@ -14,10 +20,13 @@ def max_bipartite_matching(
     """Return ``(size, match_left)`` for a maximum matching.
 
     ``match_left[i]`` is the right node matched to left node ``i`` or -1.
-    BFS builds layers of shortest alternating paths from the free left
-    nodes, DFS augments along them; the number of phases is O(sqrt(V)),
-    giving the usual O(sqrt(V) * E) bound.  Deterministic: nodes are
-    explored in input order.
+    Left nodes are tried in id order, each with one depth-first search for
+    an alternating path to a free right node, which is flipped on success;
+    a left node that finds none stays free for good, since later
+    augmentations never open a path from it.  ``seen[v]`` holds the root of
+    the last search that reached right node ``v``, so one search costs O(E)
+    and the whole run O(V * E).  Right nodes are explored in edge input
+    order, so the result is deterministic.
     """
     adj: list[list[int]] = [[] for _ in range(num_left)]
     for u, v in edges:
@@ -27,41 +36,26 @@ def max_bipartite_matching(
 
     match_left = [-1] * num_left
     match_right = [-1] * num_right
-    dist = [0] * num_left
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in range(num_left):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        reachable_free = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_right[v]
-                if w == -1:
-                    reachable_free = True
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return reachable_free
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_right[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = _INF
-        return False
-
+    seen = [-1] * num_right
     size = 0
-    while bfs():
-        for u in range(num_left):
-            if match_left[u] == -1 and dfs(u):
+    for root in range(num_left):
+        stack = [[root, 0]]  # frames of (left node, next edge to try)
+        while stack:
+            frame = stack[-1]
+            u, i = frame
+            if i == len(adj[u]):
+                stack.pop()
+                continue
+            frame[1] = i + 1
+            v = adj[u][i]
+            if seen[v] == root:
+                continue
+            seen[v] = root
+            if match_right[v] == -1:
+                # flip the alternating path root -> ... -> u -> v
+                for w, _ in reversed(stack):
+                    match_left[w], match_right[v], v = v, w, match_left[w]
                 size += 1
+                break
+            stack.append([match_right[v], 0])
     return size, match_left

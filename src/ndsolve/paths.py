@@ -183,8 +183,11 @@ def build_paths_ilp(
     terminals_in: Counter = Counter(type_of[v] for v in instance.terminals())
 
     categories: list[PathCategory] = []
+    through: list[list[int]] = [[] for _ in range(k)]  # type -> its categories
     for a, b in sorted(demand):
         for chain in minimal_chains(type_graph, a, b):
+            for t in chain:
+                through[t].append(len(categories))
             categories.append(PathCategory(a, b, chain, len(categories)))
 
     num_vars = len(categories)
@@ -196,10 +199,12 @@ def build_paths_ilp(
         )
         constraints.append(equal(coeffs, count))
     for t in range(k):
-        coeffs = tuple(1 if t in cat.chain else 0 for cat in categories)
-        if any(coeffs):
+        if through[t]:
+            coeffs = [0] * num_vars
+            for i in through[t]:
+                coeffs[i] = 1
             capacity = type_graph.size[t] - terminals_in[t]
-            constraints.append(at_most(coeffs, capacity))
+            constraints.append(at_most(tuple(coeffs), capacity))
     problem = IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
     return problem, tuple(categories)
 

@@ -175,7 +175,8 @@ def compute_color_categories(reduced: ReducedInstance) -> tuple[ColorCategory, .
     type_of = reduced.partition.type_of
     pinned_types: dict[int, set[int]] = {}
     seen_in_type: set[tuple[int, int]] = set()
-    for v, c in reduced.precolor.items():
+    # the reduction only repeats (type, color) pairs the input already has
+    for v, c in reduced.base.precolor.items():
         t = type_of[v]
         if reduced.partition.clique_flag[t] and (t, c) in seen_in_type:
             raise ValueError(f"color {c} precolored twice inside clique type {t}")
@@ -304,25 +305,27 @@ def reconstruct_coloring(
     the type.  Collapsed vertices copy their representative.  The covering
     rows guarantee enough fresh colors.
     """
-    occupancy: dict[int, frozenset[int]] = {}
+    by_category: dict[int, list[ColorSubcategory]] = {}
+    for sc in subcats:
+        by_category.setdefault(sc.category_index, []).append(sc)
+    routed: dict[int, list[int]] = {t: [] for t in reduced.active_types}
     for ci, category in enumerate(categories):
-        mine = sorted(
-            (sc for sc in subcats if sc.category_index == ci),
-            key=lambda sc: sum(1 << t for t in sc.type_set),
-        )
-        queue = list(category.colors)
-        for sc in mine:
-            for _ in range(counts[sc.var_index]):
-                assert queue, "subcategory counts exceed the category"
-                occupancy[queue.pop(0)] = sc.type_set
-        assert not queue, "subcategory counts do not cover the category"
+        colors = category.colors
+        mine = by_category.get(ci, [])
+        start = 0
+        for sc in sorted(mine, key=lambda sc: sum(1 << t for t in sc.type_set)):
+            end = start + counts[sc.var_index]
+            for t in sc.type_set:
+                if t in routed:
+                    routed[t].extend(colors[start:end])
+            start = end
+        assert start == len(colors), "subcategory counts do not match the category"
 
     color_of = dict(reduced.precolor)
     for t in reduced.active_types:
         members = reduced.effective[t]
         pinned = {color_of[v] for v in members if v in color_of}
-        routed = sorted(c for c, types in occupancy.items() if t in types)
-        fresh = [c for c in routed if c not in pinned]
+        fresh = [c for c in sorted(routed[t]) if c not in pinned]
         open_slots = [v for v in members if v not in color_of]
         assert len(fresh) >= len(open_slots), "type row is not covered"
         for v, c in zip(open_slots, fresh):

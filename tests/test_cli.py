@@ -79,6 +79,14 @@ def test_paths_accepts_bare_graph_as_empty_instance(tmp_path, capsys):
     assert payload["answer"] == "yes"
 
 
+def test_oracle_paths_accepts_bare_graph_as_empty_instance(tmp_path, capsys):
+    path = _write(tmp_path, "p4.nd", P4)
+    assert run(["oracle", "paths", "--input", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["problem"] == "oracle-paths"
+    assert payload["answer"] == "yes"
+
+
 def test_check_flag_reports_agreement(tmp_path, capsys):
     path = _write(tmp_path, "k3.nd", K3_MOTIF)
     assert run(["motif", "--input", path, "--json", "--check"]) == 0

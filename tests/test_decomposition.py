@@ -227,3 +227,10 @@ def test_hierarchy_bound_small_sample():
                 break
         k = compute_type_partition(g).num_types
         assert k <= 2 ** len(cover) + len(cover)
+
+
+def test_vertex_cover_needs_no_recursion():
+    # each disjoint edge costs one branching level, so the search is 1100 deep
+    m = 1100
+    g = Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+    assert compute_vertex_cover(g, m) == tuple(range(0, 2 * m, 2))

@@ -52,3 +52,14 @@ def test_size_equals_exhaustive_maximum():
         ]
         size, _ = max_bipartite_matching(nl, nr, edges)
         assert size == exhaustive_max_matching(nl, nr, edges)
+
+
+@pytest.mark.parametrize("n", [2001, 20001])
+def test_long_augmenting_path_needs_no_recursion(n):
+    # left i sees right i then right i + 1, so the first n - 1 left nodes take
+    # rights 0..n-2; the last left node sees only right 0 and must shift every
+    # earlier match along a path of length about 2n
+    edges = [(i, j) for i in range(n - 1) for j in (i, i + 1)] + [(n - 1, 0)]
+    size, match = max_bipartite_matching(n, n, edges)
+    assert size == n
+    assert match == list(range(1, n)) + [0]

@@ -241,3 +241,28 @@ def test_reconstruction_determinism():
         assert a.answer == b.answer
         if a.answer:
             assert a.witness == b.witness
+
+
+def test_capacity_rows_follow_the_chains():
+    # one <= row per type some chain passes, in type order, with a 1 for each
+    # category through it and the type's non-terminal vertex count
+    rng = random.Random(606)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        n = rng.randint(k, 24)
+        template = random_template(
+            k, n, rng.getrandbits(32), edge_prob=rng.random(), clique_prob=rng.random()
+        )
+        inst = random_instance(
+            "paths", template, rng.getrandbits(32), num_pairs=rng.randint(0, min(4, n // 2))
+        )
+        partition, type_graph = _decomposed(inst.graph)
+        problem, categories = build_paths_ilp(inst, partition, type_graph)
+        expected = []
+        for t in range(partition.num_types):
+            coeffs = tuple(1 if t in cat.chain else 0 for cat in categories)
+            if any(coeffs):
+                terminals = sum(partition.type_of[v] == t for v in inst.terminals())
+                expected.append((coeffs, type_graph.size[t] - terminals))
+        rows = [(c.coeffs, c.rhs) for c in problem.constraints if c.relation == "<="]
+        assert rows == expected

@@ -274,3 +274,12 @@ def test_perfect_matching_compiles_one_subcategory_per_category():
     assert report.nd == 60
     assert report.answer
     validate_coloring_witness(inst, report.witness.colors)
+
+
+def test_huge_color_budget_solves_in_linear_time():
+    # handing the million colors out one list pop at a time took O(r^2)
+    inst = PrecolorInstance(Graph.from_edges(2, [(0, 1)]), {0: 1}, 10**6)
+    report = solve_precolor(inst)
+    assert report.answer
+    validate_coloring_witness(inst, report.witness.colors)
+    assert report.witness.colors == (1, 2)
