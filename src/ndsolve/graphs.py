@@ -50,12 +50,6 @@ class Graph:
         """Number of edges."""
         return sum(len(row) for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.adj[u]
         i = bisect_left(row, v)

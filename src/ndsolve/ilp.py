@@ -7,6 +7,10 @@ arithmetic is exact integer arithmetic; inputs are capped at 32-bit
 magnitude on construction so the engine either answers correctly or
 refuses the problem, never overflows silently.  There is no randomization
 anywhere: identical problems yield identical assignments.
+
+Rows are sparse ``(variable, coefficient)`` terms (:class:`LinearConstraint`),
+so compilers hand over the index lists they build and the engine reads
+them as they are; :func:`equal` and :func:`at_most` take a dense vector.
 """
 
 from __future__ import annotations
@@ -17,14 +21,17 @@ MAGNITUDE_LIMIT = 2**31
 
 RELATIONS = ("=", "<=")
 
-# a normalized constraint is (terms, rhs) meaning sum(c * x[j]) <= rhs,
-# with terms a tuple of (j, c) for the nonzero coefficients
-_Norm = tuple[tuple[tuple[int, int], ...], int]
+Terms = tuple[tuple[int, int], ...]
+_Row = tuple[Terms, int]  # normalized (terms, rhs): sum(c * x[j]) <= rhs
 
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    coeffs: tuple[int, ...]
+    """``sum(c * x[j] for j, c in terms) <relation> rhs``, one ``(j, c)`` term
+    per nonzero coefficient, ``j`` strictly ascending; :class:`IlpProblem`
+    checks ranges, order and magnitudes."""
+
+    terms: Terms
     relation: str
     rhs: int
 
@@ -51,14 +58,21 @@ class IlpProblem:
             if up >= MAGNITUDE_LIMIT:
                 raise ValueError("bound exceeds the 32-bit magnitude guard")
         for con in self.constraints:
-            if len(con.coeffs) != self.num_vars:
-                raise ValueError("coefficient vector length mismatch")
             if con.relation not in RELATIONS:
                 raise ValueError(f"unknown relation {con.relation!r}")
-            if abs(con.rhs) >= MAGNITUDE_LIMIT or any(
-                abs(c) >= MAGNITUDE_LIMIT for c in con.coeffs
-            ):
-                raise ValueError("coefficient exceeds the 32-bit magnitude guard")
+            if abs(con.rhs) >= MAGNITUDE_LIMIT:
+                raise ValueError("right-hand side exceeds the 32-bit magnitude guard")
+            prev = -1
+            for j, c in con.terms:
+                if not 0 <= j < self.num_vars:
+                    raise ValueError(f"term variable x{j} out of range")
+                if j <= prev:
+                    raise ValueError(f"term variable x{j} repeats or descends")
+                if c == 0:
+                    raise ValueError(f"zero coefficient on x{j}")
+                if abs(c) >= MAGNITUDE_LIMIT:
+                    raise ValueError("coefficient exceeds the 32-bit magnitude guard")
+                prev = j
 
 
 @dataclass(frozen=True)
@@ -66,26 +80,29 @@ class IlpSolution:
     values: tuple[int, ...]
 
 
+def _dense_terms(coeffs: tuple[int, ...]) -> Terms:
+    return tuple((j, c) for j, c in enumerate(coeffs) if c != 0)
+
+
 def equal(coeffs: tuple[int, ...], rhs: int) -> LinearConstraint:
-    return LinearConstraint(tuple(coeffs), "=", rhs)
+    return LinearConstraint(_dense_terms(coeffs), "=", rhs)
 
 
 def at_most(coeffs: tuple[int, ...], rhs: int) -> LinearConstraint:
-    return LinearConstraint(tuple(coeffs), "<=", rhs)
+    return LinearConstraint(_dense_terms(coeffs), "<=", rhs)
 
 
-def _normalize(problem: IlpProblem) -> list[_Norm]:
-    """Rewrite every constraint as one or two <=-rows over nonzero terms."""
-    rows: list[_Norm] = []
+def _normalize(problem: IlpProblem) -> list[_Row]:
+    """Rewrite every constraint as one or two <=-rows."""
+    rows: list[_Row] = []
     for con in problem.constraints:
-        terms = tuple((j, c) for j, c in enumerate(con.coeffs) if c != 0)
-        rows.append((terms, con.rhs))
+        rows.append((con.terms, con.rhs))
         if con.relation == "=":
-            rows.append((tuple((j, -c) for j, c in terms), -con.rhs))
+            rows.append((tuple((j, -c) for j, c in con.terms), -con.rhs))
     return rows
 
 
-def _propagate(rows: list[_Norm], lower: list[int], upper: list[int]) -> bool:
+def _propagate(rows: list[_Row], lower: list[int], upper: list[int]) -> bool:
     """Tighten bounds to a fixpoint; False signals a contradiction.
 
     Interval reasoning only ever discards values no integer solution can
@@ -133,24 +150,20 @@ def propagate_bounds(
 
 def satisfies(problem: IlpProblem, values: tuple[int, ...]) -> bool:
     """Exact check of all bounds and constraints."""
-    if len(values) != problem.num_vars:
+    if len(values) != problem.num_vars or not all(
+        lo <= x <= up for x, lo, up in zip(values, problem.lower, problem.upper)
+    ):
         return False
-    for x, lo, up in zip(values, problem.lower, problem.upper):
-        if not lo <= x <= up:
-            return False
     for con in problem.constraints:
-        total = sum(c * x for c, x in zip(con.coeffs, values))
-        if con.relation == "=" and total != con.rhs:
-            return False
-        if con.relation == "<=" and total > con.rhs:
+        total = sum(c * values[j] for j, c in con.terms)
+        if total > con.rhs or (con.relation == "=" and total != con.rhs):
             return False
     return True
 
 
 def solve_feasibility(problem: IlpProblem) -> IlpSolution | None:
     """A satisfying assignment iff one exists, else None."""
-    rows = _normalize(problem)
-    values = _search(problem, rows, list(problem.lower), list(problem.upper))
+    values = _search(_normalize(problem), list(problem.lower), list(problem.upper))
     if values is None:
         return None
     solution = IlpSolution(tuple(values))
@@ -158,9 +171,7 @@ def solve_feasibility(problem: IlpProblem) -> IlpSolution | None:
     return solution
 
 
-def _search(
-    problem: IlpProblem, rows: list[_Norm], lower: list[int], upper: list[int]
-) -> list[int] | None:
+def _search(rows: list[_Row], lower: list[int], upper: list[int]) -> list[int] | None:
     """Depth-first search on an explicit stack, so deep trees cannot overflow.
 
     A frame holds a propagated node's bounds, its branching variable and
@@ -171,15 +182,12 @@ def _search(
     stack: list[list] = []
     while True:
         if _propagate(rows, lower, upper):
-            pick = -1
-            smallest = None
-            for j in range(problem.num_vars):
-                width = upper[j] - lower[j]
-                if width > 0 and (smallest is None or width < smallest):
-                    smallest = width
-                    pick = j
-            if pick < 0:
+            # branch on the first variable of smallest open domain
+            widths = [up - lo for lo, up in zip(lower, upper)]
+            smallest = min((w for w in widths if w > 0), default=0)
+            if not smallest:
                 return lower
+            pick = widths.index(smallest)
             stack.append([lower, upper, pick, lower[pick]])
         while stack:
             node_lower, node_upper, pick, value = stack[-1]
@@ -199,8 +207,6 @@ def format_problem(problem: IlpProblem) -> str:
     for j in range(problem.num_vars):
         lines.append(f"{problem.lower[j]} <= x{j} <= {problem.upper[j]}")
     for con in problem.constraints:
-        terms = " ".join(
-            f"{c:+d} x{j}" for j, c in enumerate(con.coeffs) if c != 0
-        )
+        terms = " ".join(f"{c:+d} x{j}" for j, c in con.terms)
         lines.append(f"{terms or '0'} {con.relation} {con.rhs}")
     return "\n".join(lines) + "\n"

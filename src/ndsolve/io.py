@@ -12,8 +12,9 @@
 
 ``#`` starts a comment.  At most one annotation family may appear in a
 file; a bare graph file is valid.  Vertex ids are 1-based on disk and
-0-based in memory, and a header may declare at most :data:`MAX_VERTICES`
-vertices.
+0-based in memory.  A header may declare at most :data:`MAX_VERTICES`
+vertices, and the color budget and the motif's total count are held to
+the same limit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 # Largest vertex count a header may declare.  parse_instance allocates one
 # neighbor set per vertex as soon as it reads the header, before any edge,
 # about 0.24 KB each, so the cap bounds an edgeless graph at roughly 240 MB.
+# The 'colors' budget and the sum of the 'motif' counts share the cap: the
+# solvers list every budget color and every motif occurrence.
 MAX_VERTICES = 10**6
 
 _FAMILY = {
@@ -74,6 +77,7 @@ def parse_instance(text: str) -> Instance:
     neighbors: list[set[int]] | None = None  # allocated by the header
     vertex_color: dict[int, int] = {}
     motif: dict[int, int] = {}
+    motif_size = 0
     pairs: list[tuple[int, int]] = []
     seen_terminals: set[int] = set()
     precolor: dict[int, int] = {}
@@ -154,6 +158,12 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"motif count must be positive: {count}", line_no)
             if c in motif:
                 raise ParseError(f"duplicate motif entry for color {c}", line_no)
+            motif_size += count
+            if motif_size > MAX_VERTICES:
+                raise ParseError(
+                    f"motif size exceeds the limit {MAX_VERTICES}: {motif_size}",
+                    line_no,
+                )
             motif[c] = count
         elif keyword == "pair":
             if len(tokens) != 3:
@@ -179,6 +189,11 @@ def parse_instance(text: str) -> Instance:
             if num_colors is not None:
                 raise ParseError("duplicate 'colors' line", line_no)
             num_colors = _color(tokens[1], line_no)
+            if num_colors > MAX_VERTICES:
+                raise ParseError(
+                    f"color budget exceeds the limit {MAX_VERTICES}: {num_colors}",
+                    line_no,
+                )
         else:
             raise ParseError(f"unknown directive {keyword!r}", line_no)
 

@@ -35,7 +35,7 @@ from .decomposition import (
     compute_type_partition,
 )
 from .graphs import Graph
-from .ilp import IlpProblem, at_most, equal, solve_feasibility
+from .ilp import IlpProblem, LinearConstraint, solve_feasibility
 from .instances import PathsInstance, SolveReport, validate_paths_witness
 
 
@@ -184,27 +184,22 @@ def build_paths_ilp(
 
     categories: list[PathCategory] = []
     through: list[list[int]] = [[] for _ in range(k)]  # type -> its categories
+    constraints = []
     for a, b in sorted(demand):
+        first = len(categories)
         for chain in minimal_chains(type_graph, a, b):
             for t in chain:
                 through[t].append(len(categories))
             categories.append(PathCategory(a, b, chain, len(categories)))
-
-    num_vars = len(categories)
-    upper = tuple(demand[(cat.start_type, cat.end_type)] for cat in categories)
-    constraints = []
-    for (a, b), count in sorted(demand.items()):
-        coeffs = tuple(
-            1 if (cat.start_type, cat.end_type) == (a, b) else 0 for cat in categories
-        )
-        constraints.append(equal(coeffs, count))
+        row = tuple((i, 1) for i in range(first, len(categories)))
+        constraints.append(LinearConstraint(row, "=", demand[(a, b)]))
     for t in range(k):
         if through[t]:
-            coeffs = [0] * num_vars
-            for i in through[t]:
-                coeffs[i] = 1
             capacity = type_graph.size[t] - terminals_in[t]
-            constraints.append(at_most(tuple(coeffs), capacity))
+            row = tuple((i, 1) for i in through[t])
+            constraints.append(LinearConstraint(row, "<=", capacity))
+    num_vars = len(categories)
+    upper = tuple(demand[(cat.start_type, cat.end_type)] for cat in categories)
     problem = IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
     return problem, tuple(categories)
 

@@ -52,7 +52,7 @@ from .decomposition import (
     mask_members,
 )
 from .graphs import Graph
-from .ilp import IlpProblem, at_most, equal, solve_feasibility
+from .ilp import IlpProblem, LinearConstraint, solve_feasibility
 from .instances import PrecolorInstance, SolveReport, validate_coloring_witness
 
 
@@ -254,6 +254,8 @@ def build_precolor_ilp(
     """Count variables for the maximal subcategories, the category
     equations and the covering rows of the active types."""
     subcats: list[ColorSubcategory] = []
+    covering: list[list[int]] = [[] for _ in range(type_graph.num_types)]
+    constraints = []
     for ci, category in enumerate(categories):
         if category.color_count == 0:
             continue
@@ -269,23 +271,20 @@ def build_precolor_ilp(
             and t not in reduced.frozen_types
             and all(not type_graph.has_edge(t, u) for u in base)
         ]
+        first = len(subcats)
         for type_set in maximal_independent_supersets(type_graph, base, addable):
             for a in type_set:
+                covering[a].append(len(subcats))
                 for b in type_set:
                     assert a == b or not type_graph.has_edge(a, b)
             subcats.append(ColorSubcategory(ci, type_set, len(subcats)))
-
+        row = tuple((i, 1) for i in range(first, len(subcats)))
+        constraints.append(LinearConstraint(row, "=", category.color_count))
+    for t in reduced.active_types:
+        row = tuple((i, -1) for i in covering[t])
+        constraints.append(LinearConstraint(row, "<=", -reduced.effective_size(t)))
     num_vars = len(subcats)
     upper = tuple(categories[sc.category_index].color_count for sc in subcats)
-    constraints = []
-    for ci, category in enumerate(categories):
-        if category.color_count == 0:
-            continue
-        coeffs = tuple(1 if sc.category_index == ci else 0 for sc in subcats)
-        constraints.append(equal(coeffs, category.color_count))
-    for t in reduced.active_types:
-        coeffs = tuple(-1 if t in sc.type_set else 0 for sc in subcats)
-        constraints.append(at_most(coeffs, -reduced.effective_size(t)))
     problem = IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
     return problem, tuple(subcats)
 

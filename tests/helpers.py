@@ -15,7 +15,7 @@ import numpy as np
 
 from ndsolve import Graph, TypeGraph, TypePartition
 from ndsolve.generate import TypeTemplate, random_instance, random_template
-from ndsolve.ilp import IlpProblem, LinearConstraint
+from ndsolve.ilp import IlpProblem, LinearConstraint, at_most, equal
 
 
 def literal_same_type(g: Graph, u: int, v: int) -> bool:
@@ -110,6 +110,14 @@ def exhaustive_max_matching(num_left: int, num_right: int, edges) -> int:
     return best(0, 0)
 
 
+def dense_coeffs(con: LinearConstraint, num_vars: int) -> tuple[int, ...]:
+    """The full coefficient vector of a constraint's sparse terms."""
+    coeffs = [0] * num_vars
+    for j, c in con.terms:
+        coeffs[j] = c
+    return tuple(coeffs)
+
+
 def grid_feasible(problem: IlpProblem) -> tuple[int, ...] | None:
     """First satisfying point of the full bound grid, vectorized."""
     if problem.num_vars == 0:
@@ -125,7 +133,7 @@ def grid_feasible(problem: IlpProblem) -> tuple[int, ...] | None:
     points = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.ones(len(points), dtype=bool)
     for con in problem.constraints:
-        total = points @ np.asarray(con.coeffs)
+        total = points @ np.asarray(dense_coeffs(con, problem.num_vars))
         keep &= (total == con.rhs) if con.relation == "=" else (total <= con.rhs)
     idx = np.flatnonzero(keep)
     return tuple(int(x) for x in points[idx[0]]) if len(idx) else None
@@ -142,7 +150,7 @@ def grid_count(problem: IlpProblem) -> int:
     points = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.ones(len(points), dtype=bool)
     for con in problem.constraints:
-        total = points @ np.asarray(con.coeffs)
+        total = points @ np.asarray(dense_coeffs(con, problem.num_vars))
         keep &= (total == con.rhs) if con.relation == "=" else (total <= con.rhs)
     return int(keep.sum())
 
@@ -164,7 +172,7 @@ def random_ilp(rng: random.Random, max_vars: int = 8, max_bound: int = 6) -> Ilp
         coeffs = tuple(rng.randint(-3, 3) for _ in range(num_vars))
         relation = "=" if rng.random() < 0.4 else "<="
         rhs = rng.randint(-6, 2 * max_bound)
-        constraints.append(LinearConstraint(coeffs, relation, rhs))
+        constraints.append((equal if relation == "=" else at_most)(coeffs, rhs))
     return IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
 
 

@@ -60,6 +60,14 @@ def test_huge_header_exit_2(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_huge_counts_exit_2(tmp_path, capsys):
+    colors = _write(tmp_path, "colors.nd", "p graph 2\ncolors 10000000\nprecolor 1 1\n")
+    assert run(["precolor", "--input", colors]) == 2
+    motif = _write(tmp_path, "motif.nd", "p graph 1\nvcolor 1 1\nmotif 1 10000000\n")
+    assert run(["motif", "--input", motif]) == 2
+    assert capsys.readouterr().err.count("exceeds the limit") == 2
+
+
 def test_unknown_flag_exit_2(tmp_path, capsys):
     assert run(["motif", "--frobnicate"]) == 2
     assert run(["nosuchcommand"]) == 2

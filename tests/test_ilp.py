@@ -39,10 +39,31 @@ def test_validation():
         IlpProblem(1, (3,), (2,), ())
     with pytest.raises(ValueError, match="magnitude"):
         IlpProblem(1, (0,), (2,), (equal((2**31,), 0),))
-    with pytest.raises(ValueError, match="length"):
-        IlpProblem(2, (0, 0), (1, 1), (equal((1,), 0),))
+    with pytest.raises(ValueError, match="out of range"):
+        IlpProblem(2, (0, 0), (1, 1), (LinearConstraint(((2, 1),), "=", 0),))
     with pytest.raises(ValueError, match="relation"):
         IlpProblem(1, (0,), (1,), (LinearConstraint((1,), ">=", 0),))
+
+
+@pytest.mark.parametrize(
+    "terms, match",
+    [
+        (((0, 1), (2, 1)), "out of range"),
+        (((-1, 1),), "out of range"),
+        (((0, 1), (0, 2)), "repeats or descends"),
+        (((1, 1), (0, 1)), "repeats or descends"),
+        (((0, 1), (1, 0)), "zero coefficient"),
+        (((1, -(2**31)),), "magnitude"),
+    ],
+)
+def test_malformed_terms(terms, match):
+    with pytest.raises(ValueError, match=match):
+        IlpProblem(2, (0, 0), (1, 1), (LinearConstraint(terms, "<=", 1),))
+
+
+def test_dense_constructors_keep_the_nonzero_terms():
+    assert equal((0, 3, 0, -1), 2) == LinearConstraint(((1, 3), (3, -1)), "=", 2)
+    assert at_most((0, 0), -1) == LinearConstraint((), "<=", -1)
 
 
 def test_propagation_tightens():

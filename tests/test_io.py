@@ -69,6 +69,13 @@ def test_parse_paths_and_precolor():
         ("p graph 3\ne 1\n", "edge line must be"),
         ("p graph 2\ne 1 2\ne 2 1\n", r"duplicate edge \(1, 2\)"),
         ("# no header yet\ne 1 2\n", "header"),
+        ("p graph 2\ne 1 2\ncolors 1000001\nprecolor 1 1\n", "color budget exceeds"),
+        ("p graph 2\ncolors 10000000000\n", "color budget exceeds the limit"),
+        ("p graph 2\nvcolor 1 1\nvcolor 2 1\nmotif 1 10000000\n", "motif size exceeds"),
+        (
+            "p graph 2\nvcolor 1 1\nvcolor 2 2\nmotif 1 600000\nmotif 2 400001\n",
+            r"line 5: motif size exceeds the limit 1000000: 1000001",
+        ),
     ],
 )
 def test_parse_errors(text, match):

@@ -260,9 +260,9 @@ def test_capacity_rows_follow_the_chains():
         problem, categories = build_paths_ilp(inst, partition, type_graph)
         expected = []
         for t in range(partition.num_types):
-            coeffs = tuple(1 if t in cat.chain else 0 for cat in categories)
-            if any(coeffs):
+            terms = tuple((i, 1) for i, cat in enumerate(categories) if t in cat.chain)
+            if terms:
                 terminals = sum(partition.type_of[v] == t for v in inst.terminals())
-                expected.append((coeffs, type_graph.size[t] - terminals))
-        rows = [(c.coeffs, c.rhs) for c in problem.constraints if c.relation == "<="]
+                expected.append((terms, type_graph.size[t] - terminals))
+        rows = [(c.terms, c.rhs) for c in problem.constraints if c.relation == "<="]
         assert rows == expected

@@ -19,6 +19,7 @@ from ndsolve.precolor import (
     compute_color_categories,
     maximal_independent_supersets,
 )
+from ndsolve.generate import random_instance, random_template
 from helpers import small_sweep_instance
 
 C4_EDGES = [(0, 1), (0, 3), (2, 1), (2, 3)]  # = K_{2,2}, types {0,2} and {1,3}
@@ -283,3 +284,40 @@ def test_huge_color_budget_solves_in_linear_time():
     assert report.answer
     validate_coloring_witness(inst, report.witness.colors)
     assert report.witness.colors == (1, 2)
+
+
+def test_rows_follow_the_subcategories():
+    # one = row per category with colors, in category order, with a 1 for
+    # each of its subcategories; then one covering row per active type, with
+    # a -1 for each subcategory containing it and minus its effective size
+    rng = random.Random(707)
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        n = rng.randint(k, 24)
+        template = random_template(
+            k, n, rng.getrandbits(32), edge_prob=rng.random(), clique_prob=rng.random()
+        )
+        inst = random_instance(
+            "precolor",
+            template,
+            rng.getrandbits(32),
+            num_colors=rng.randint(1, 6),
+            precolor_fraction=rng.random(),
+        )
+        reduced, h = _reduced(inst)
+        cats = compute_color_categories(reduced)
+        problem, subcats = build_precolor_ilp(reduced, cats, h)
+        dense = []
+        for ci, cat in enumerate(cats):
+            if cat.color_count:
+                coeffs = [1 if sc.category_index == ci else 0 for sc in subcats]
+                dense.append((coeffs, "=", cat.color_count))
+        for t in reduced.active_types:
+            coeffs = [-1 if t in sc.type_set else 0 for sc in subcats]
+            dense.append((coeffs, "<=", -reduced.effective_size(t)))
+        expected = [
+            (tuple((j, c) for j, c in enumerate(coeffs) if c), relation, rhs)
+            for coeffs, relation, rhs in dense
+        ]
+        rows = [(c.terms, c.relation, c.rhs) for c in problem.constraints]
+        assert rows == expected
