@@ -63,7 +63,12 @@ class IlpProblem:
             if abs(con.rhs) >= MAGNITUDE_LIMIT:
                 raise ValueError("right-hand side exceeds the 32-bit magnitude guard")
             prev = -1
-            for j, c in con.terms:
+            for term in con.terms:
+                if not isinstance(term, tuple) or len(term) != 2:
+                    raise ValueError(
+                        f"term {term!r} is not a (variable, coefficient) pair"
+                    )
+                j, c = term
                 if not 0 <= j < self.num_vars:
                     raise ValueError(f"term variable x{j} out of range")
                 if j <= prev:

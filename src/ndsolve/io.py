@@ -1,20 +1,11 @@
 """Line-oriented instance file format.
 
-::
-
-    p graph <n>          header, required first
-    e <u> <v>            edge (1-based endpoints)
-    vcolor <v> <c>       vertex color          \\ motif annotations
-    motif <c> <count>    motif multiset entry  /
-    pair <s> <t>         terminal pair         -- disjoint-paths annotations
-    precolor <v> <c>     precolored vertex     \\ precoloring annotations
-    colors <r>           color budget          /
-
-``#`` starts a comment.  At most one annotation family may appear in a
-file; a bare graph file is valid.  Vertex ids are 1-based on disk and
-0-based in memory.  A header may declare at most :data:`MAX_VERTICES`
-vertices, and the color budget and the motif's total count are held to
-the same limit.
+A ``p graph <n>`` header comes first; ``e <u> <v>`` lines are edges with
+1-based endpoints, and :data:`_DIRECTIVES` is the grammar of the annotation
+lines, of which a file may hold at most one family.  ``#`` starts a comment;
+a bare graph file is valid.  Vertex ids are 0-based in memory.  A header may
+declare at most :data:`MAX_VERTICES` vertices, and the color budget and the
+motif's total count are held to the same limit.
 """
 
 from __future__ import annotations
@@ -33,12 +24,15 @@ Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 # solvers list every budget color and every motif occurrence.
 MAX_VERTICES = 10**6
 
-_FAMILY = {
-    "vcolor": "motif",
-    "motif": "motif",
-    "pair": "paths",
-    "precolor": "precolor",
-    "colors": "precolor",
+# keyword -> (family, line name, usage, argument kinds).  A kind is 'v' (a
+# 1-based vertex id), 'c' (a positive color) or 'n' (a positive count); all
+# arguments convert before the directive's own checks run.
+_DIRECTIVES = {
+    "vcolor": ("motif", "vertex color", "vcolor <v> <c>", "vc"),
+    "motif": ("motif", "motif", "motif <c> <count>", "cn"),
+    "pair": ("paths", "pair", "pair <s> <t>", "vv"),
+    "precolor": ("precolor", "precolor", "precolor <v> <c>", "vc"),
+    "colors": ("precolor", "color budget", "colors <r>", "c"),
 }
 
 
@@ -62,13 +56,6 @@ def _vertex(token: str, n: int, line: int) -> int:
     if not 1 <= v <= n:
         raise ParseError(f"vertex id out of range 1..{n}: {v}", line)
     return v - 1
-
-
-def _color(token: str, line: int) -> int:
-    c = _int(token, "color", line)
-    if c < 1:
-        raise ParseError(f"color must be positive: {c}", line)
-    return c
 
 
 def parse_instance(text: str) -> Instance:
@@ -132,30 +119,42 @@ def parse_instance(text: str) -> Instance:
         if n is None:
             raise ParseError("'p graph <n>' header must come first", line_no)
 
-        if keyword in _FAMILY:
-            if family is None:
-                family = _FAMILY[keyword]
-            elif family != _FAMILY[keyword]:
-                raise ParseError(
-                    f"'{keyword}' mixes annotation families "
-                    f"({_FAMILY[keyword]} after {family})",
-                    line_no,
-                )
+        spec = _DIRECTIVES.get(keyword)
+        if spec is None:
+            raise ParseError(f"unknown directive {keyword!r}", line_no)
+        line_family, name, usage, kinds = spec
+        if family is None:
+            family = line_family
+        elif family != line_family:
+            raise ParseError(
+                f"'{keyword}' mixes annotation families ({line_family} after {family})",
+                line_no,
+            )
+        if len(tokens) != len(kinds) + 1:
+            raise ParseError(f"{name} line must be '{usage}'", line_no)
+        # Convert in place, inline as for edges; _vertex and _int word errors.
+        i = 0
+        for kind in kinds:
+            i += 1
+            try:
+                x = int(tokens[i])
+            except ValueError:
+                x = 0
+            if kind == "v":
+                x = x - 1 if 1 <= x <= n else _vertex(tokens[i], n, line_no)
+            elif x < 1:
+                _int(tokens[i], "color" if kind == "c" else "count", line_no)
+                what = "color" if kind == "c" else "motif count"
+                raise ParseError(f"{what} must be positive: {x}", line_no)
+            tokens[i] = x
 
         if keyword == "vcolor":
-            if len(tokens) != 3:
-                raise ParseError("vertex color line must be 'vcolor <v> <c>'", line_no)
-            v = _vertex(tokens[1], n, line_no)
+            _, v, c = tokens
             if v in vertex_color:
                 raise ParseError(f"duplicate color for vertex {v + 1}", line_no)
-            vertex_color[v] = _color(tokens[2], line_no)
+            vertex_color[v] = c
         elif keyword == "motif":
-            if len(tokens) != 3:
-                raise ParseError("motif line must be 'motif <c> <count>'", line_no)
-            c = _color(tokens[1], line_no)
-            count = _int(tokens[2], "count", line_no)
-            if count < 1:
-                raise ParseError(f"motif count must be positive: {count}", line_no)
+            _, c, count = tokens
             if c in motif:
                 raise ParseError(f"duplicate motif entry for color {c}", line_no)
             motif_size += count
@@ -166,10 +165,7 @@ def parse_instance(text: str) -> Instance:
                 )
             motif[c] = count
         elif keyword == "pair":
-            if len(tokens) != 3:
-                raise ParseError("pair line must be 'pair <s> <t>'", line_no)
-            s = _vertex(tokens[1], n, line_no)
-            t = _vertex(tokens[2], n, line_no)
+            _, s, t = tokens
             if s == t:
                 raise ParseError(f"terminal pair repeats vertex {s + 1}", line_no)
             if s in seen_terminals or t in seen_terminals:
@@ -177,25 +173,19 @@ def parse_instance(text: str) -> Instance:
             seen_terminals.update((s, t))
             pairs.append((s, t))
         elif keyword == "precolor":
-            if len(tokens) != 3:
-                raise ParseError("precolor line must be 'precolor <v> <c>'", line_no)
-            v = _vertex(tokens[1], n, line_no)
+            _, v, c = tokens
             if v in precolor:
                 raise ParseError(f"duplicate precolor for vertex {v + 1}", line_no)
-            precolor[v] = _color(tokens[2], line_no)
-        elif keyword == "colors":
-            if len(tokens) != 2:
-                raise ParseError("color budget line must be 'colors <r>'", line_no)
+            precolor[v] = c
+        else:  # colors
             if num_colors is not None:
                 raise ParseError("duplicate 'colors' line", line_no)
-            num_colors = _color(tokens[1], line_no)
+            num_colors = tokens[1]
             if num_colors > MAX_VERTICES:
                 raise ParseError(
                     f"color budget exceeds the limit {MAX_VERTICES}: {num_colors}",
                     line_no,
                 )
-        else:
-            raise ParseError(f"unknown directive {keyword!r}", line_no)
 
     if n is None:
         raise ParseError("missing 'p graph <n>' header")

@@ -42,12 +42,12 @@ from .instances import PathsInstance, SolveReport, validate_paths_witness
 @dataclass(frozen=True)
 class PathCategory:
     """Endpoint types (normalized start <= end) plus the chordless chain of
-    types between them, in order from the start type; one count variable."""
+    types between them, in order from the start type.  Its count variable is
+    its position in the category tuple that :func:`build_paths_ilp` returns."""
 
     start_type: int
     end_type: int
     chain: tuple[int, ...]
-    var_index: int
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def build_paths_ilp(
         for chain in minimal_chains(type_graph, a, b):
             for t in chain:
                 through[t].append(len(categories))
-            categories.append(PathCategory(a, b, chain, len(categories)))
+            categories.append(PathCategory(a, b, chain))
         row = tuple((i, 1) for i in range(first, len(categories)))
         constraints.append(LinearConstraint(row, "=", demand[(a, b)]))
     for t in range(k):

@@ -54,6 +54,9 @@ def test_validation():
         (((1, 1), (0, 1)), "repeats or descends"),
         (((0, 1), (1, 0)), "zero coefficient"),
         (((1, -(2**31)),), "magnitude"),
+        ((1,), r"term 1 is not a \(variable, coefficient\) pair"),
+        (((0,),), r"term \(0,\) is not a \(variable, coefficient\) pair"),
+        (((0, 1, 2),), r"term \(0, 1, 2\) is not a \(variable, coefficient\) pair"),
     ],
 )
 def test_malformed_terms(terms, match):

@@ -76,6 +76,29 @@ def test_parse_paths_and_precolor():
             "p graph 2\nvcolor 1 1\nvcolor 2 2\nmotif 1 600000\nmotif 2 400001\n",
             r"line 5: motif size exceeds the limit 1000000: 1000001",
         ),
+        ("p graph 2\nvcolor 1\n", "line 2: vertex color line must be 'vcolor <v> <c>'"),
+        ("p graph 2\nvcolor 1 1 1\n", "vertex color line must be 'vcolor <v> <c>'"),
+        ("p graph 2\nmotif 1\n", "line 2: motif line must be 'motif <c> <count>'"),
+        ("p graph 2\nmotif 1 1 1\n", "motif line must be 'motif <c> <count>'"),
+        ("p graph 2\npair 1\n", "line 2: pair line must be 'pair <s> <t>'"),
+        ("p graph 2\npair 1 2 1\n", "pair line must be 'pair <s> <t>'"),
+        ("p graph 2\nprecolor 1\n", "line 2: precolor line must be 'precolor <v> <c>'"),
+        ("p graph 2\nprecolor 1 1 1\n", "precolor line must be 'precolor <v> <c>'"),
+        ("p graph 2\ncolors\n", "line 2: color budget line must be 'colors <r>'"),
+        ("p graph 2\ncolors 1 2\n", "color budget line must be 'colors <r>'"),
+        ("p graph 2\nvcolor 1 0\n", "line 2: color must be positive: 0"),
+        ("p graph 2\nmotif 1 0\n", "line 2: motif count must be positive: 0"),
+        ("p graph 2\nmotif 1 x\n", "line 2: count is not an integer: 'x'"),
+        (
+            "p graph 2\ncolors 2\nprecolor 1 1\nprecolor 1 2\n",
+            "line 4: duplicate precolor for vertex 1",
+        ),
+        (
+            "p graph 2\nmotif 1 1\nmotif 1 2\n",
+            "line 3: duplicate motif entry for color 1",
+        ),
+        ("p graph 2\ncolors 2\ncolors 3\n", "line 3: duplicate 'colors' line"),
+        ("p graph 2\npair 1 1\n", "line 2: terminal pair repeats vertex 1"),
     ],
 )
 def test_parse_errors(text, match):

@@ -48,6 +48,7 @@ def test_lone_independent_type_cannot_host_two_vertices():
 
 
 def test_single_color_short_circuit():
+    # The one-color short-circuit branch is gone; this case runs the general loop.
     inst = MotifInstance(Graph.from_edges(3, []), (1, 2, 1), (2,))
     report = solve_motif(inst)
     assert report.answer
