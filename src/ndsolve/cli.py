@@ -239,7 +239,8 @@ def bench_cells(
     :func:`random_instance`.  Cells of 1000+ vertices use the sparse
     template so a fully-joined pair of huge classes cannot blow the edge
     count up quadratically.  Cells run one after another in one thread, so
-    no cell's time includes waiting on another.
+    no cell's time includes waiting on another.  A row's ``ilp_vars`` is
+    the largest over its seeds, as ``max_ms`` is.
     """
     solve = _PROBLEMS[problem].solve
 
@@ -253,7 +254,7 @@ def bench_cells(
             report = solve(instance)
             times.append(report.elapsed_ms)
             if report.ilp_vars is not None:
-                ilp_vars = report.ilp_vars
+                ilp_vars = max(ilp_vars or 0, report.ilp_vars)
         return {
             "problem": problem,
             "k": k,

@@ -20,8 +20,9 @@ Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 # Largest vertex count a header may declare.  parse_instance allocates one
 # neighbor set per vertex as soon as it reads the header, before any edge,
 # about 0.24 KB each, so the cap bounds an edgeless graph at roughly 240 MB.
-# The 'colors' budget and the sum of the 'motif' counts share the cap: the
-# solvers list every budget color and every motif occurrence.
+# The sum of the 'motif' counts shares the cap, as the motif is held as one
+# entry per occurrence.  So does the 'colors' budget, to keep one limit on
+# every count a file declares; precoloring lists at most n + #pinned colors.
 MAX_VERTICES = 10**6
 
 # keyword -> (family, line name, usage, argument kinds).  A kind is 'v' (a

@@ -224,8 +224,15 @@ def solve_motif(instance: MotifInstance) -> SolveReport:
     want = instance.motif_counts()
     size = len(instance.motif)
     colored = [t for t in range(k) if any(c in tables[t] for c in want)]
+    total: Counter = Counter()
+    for t in colored:
+        total.update(type_counts[t])
+    # a set's pool only grows as types join it, so if all motif-colored
+    # types together fall short of some motif color, every set does
+    short = any(total[c] < count for c, count in want.items())
+    grown = () if short else connected_type_sets(type_graph, colored, size)
     witness: MotifWitness | None = None
-    for types in connected_type_sets(type_graph, colored, size):
+    for types in grown:
         if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:
             # a lone independent type hosts only a one-vertex motif
             continue

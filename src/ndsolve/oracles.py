@@ -10,7 +10,7 @@ timeouts.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 from .instances import (
     MotifInstance,
@@ -107,9 +107,9 @@ def oracle_precolor(instance: PrecolorInstance) -> tuple[bool, tuple[int, ...] |
             f"precolor oracle handles at most {PRECOLOR_MAX_VERTICES} vertices"
         )
     uncolored = [v for v in range(g.n) if v not in instance.precolor]
-    pre_used = sorted(set(instance.precolor.values()))
-    fresh = [c for c in range(1, instance.num_colors + 1) if c not in pre_used]
-    palette = pre_used + fresh[: len(uncolored)]
+    pre_used = set(instance.precolor.values())
+    fresh = (c for c in range(1, instance.num_colors + 1) if c not in pre_used)
+    palette = sorted(pre_used) + list(islice(fresh, len(uncolored)))
 
     coloring = dict(instance.precolor)
 

@@ -8,12 +8,14 @@ fully precolored ("frozen") or one uncolored vertex; all other types stay
 "active".
 
 Colors are then grouped by where the input pins them: a category collects
-the colors precolored in the same set of types.  Each color of a category
-is routed to a subcategory, a set of types that contains the category's
-types, adds no frozen type (its vertices are all taken) and holds no
-adjacent type pair (a color shared across a fully-joined pair would sit on
-an edge).  Only the maximal such sets are needed, and one count variable
-per subcategory gives a small integer system:
+the colors precolored in the same set of types.  The colors nobody pinned
+are interchangeable and a coloring uses at most n of them, so their
+category lists at most n colors, never the whole budget.  Each color of a
+category is routed to a subcategory, a set of types that contains the
+category's types, adds no frozen type (its vertices are all taken) and
+holds no adjacent type pair (a color shared across a fully-joined pair
+would sit on an edge).  Only the maximal such sets are needed, and one
+count variable per subcategory gives a small integer system:
 
 * per category, its subcategory counts sum to the category's color count;
 * per active type, the subcategories containing it sum to at least the
@@ -34,8 +36,8 @@ still apply through the categories.
 
 The witness follows from the first feasible count table of the search,
 with variables ordered by category and then in the order
-:func:`maximal_independent_supersets` yields the sets; see
-:func:`reconstruct_coloring` for how counts become colors.
+:func:`maximal_independent_supersets` yields the sets.
+:func:`reconstruct_coloring` hands out colors in that same order.
 """
 
 from __future__ import annotations
@@ -111,11 +113,11 @@ class ColorCategory:
 @dataclass(frozen=True)
 class ColorSubcategory:
     """Maximal type set a category's colors may be routed to; a routed
-    color occupies some of its types.  One count variable."""
+    color occupies some of its types.  Its count variable is its position
+    in the tuple :func:`build_precolor_ilp` returns."""
 
     category_index: int
     type_set: frozenset[int]
-    var_index: int
 
 
 @dataclass(frozen=True)
@@ -167,10 +169,11 @@ def reduce_independent_types(
 
 
 def compute_color_categories(reduced: ReducedInstance) -> tuple[ColorCategory, ...]:
-    """Group the colors 1..r by the set of types they are precolored in.
+    """Group the pinned colors by the set of types they are precolored in.
 
-    The category with the empty type set collects the unprecolored colors
-    and is always present, possibly with zero colors.
+    The category with the empty type set holds the unpinned colors among
+    1..min(r, n + #pinned), at least min(r - #pinned, n) of them, and is
+    always present, possibly with zero colors.
     """
     type_of = reduced.partition.type_of
     pinned_types: dict[int, set[int]] = {}
@@ -183,10 +186,10 @@ def compute_color_categories(reduced: ReducedInstance) -> tuple[ColorCategory, .
         seen_in_type.add((t, c))
         pinned_types.setdefault(c, set()).add(t)
 
-    groups: dict[frozenset[int], list[int]] = {frozenset(): []}
-    for c in range(1, reduced.base.num_colors + 1):
-        key = frozenset(pinned_types.get(c, ()))
-        groups.setdefault(key, []).append(c)
+    last = min(reduced.base.num_colors, reduced.base.graph.n + len(pinned_types))
+    groups = {frozenset(): [c for c in range(1, last + 1) if c not in pinned_types]}
+    for c, types in pinned_types.items():
+        groups.setdefault(frozenset(types), []).append(c)
     return tuple(
         ColorCategory(key, tuple(sorted(groups[key])))
         for key in sorted(groups, key=lambda s: sum(1 << t for t in s))
@@ -277,7 +280,7 @@ def build_precolor_ilp(
                 covering[a].append(len(subcats))
                 for b in type_set:
                     assert a == b or not type_graph.has_edge(a, b)
-            subcats.append(ColorSubcategory(ci, type_set, len(subcats)))
+            subcats.append(ColorSubcategory(ci, type_set))
         row = tuple((i, 1) for i in range(first, len(subcats)))
         constraints.append(LinearConstraint(row, "=", category.color_count))
     for t in reduced.active_types:
@@ -297,28 +300,23 @@ def reconstruct_coloring(
 ) -> ColoringWitness:
     """Turn feasible subcategory counts into a full proper coloring.
 
-    Within each category, colors ascend into subcategories by ascending
-    type-set mask.  On each active type, the colors routed there and not
-    already pinned to a precolored vertex are fresh; the lowest of them
-    land on the uncolored vertices in id order and the surplus stays off
-    the type.  Collapsed vertices copy their representative.  The covering
-    rows guarantee enough fresh colors.
+    Subcategories are walked once in variable order, and each takes the
+    next ``count`` colors of its category.  On each active type, the colors
+    routed there and not already pinned to a precolored vertex are fresh;
+    the lowest of them land on the uncolored vertices in id order and the
+    surplus stays off the type.  Collapsed vertices copy their
+    representative.  The covering rows guarantee enough fresh colors.
     """
-    by_category: dict[int, list[ColorSubcategory]] = {}
-    for sc in subcats:
-        by_category.setdefault(sc.category_index, []).append(sc)
     routed: dict[int, list[int]] = {t: [] for t in reduced.active_types}
-    for ci, category in enumerate(categories):
-        colors = category.colors
-        mine = by_category.get(ci, [])
-        start = 0
-        for sc in sorted(mine, key=lambda sc: sum(1 << t for t in sc.type_set)):
-            end = start + counts[sc.var_index]
-            for t in sc.type_set:
-                if t in routed:
-                    routed[t].extend(colors[start:end])
-            start = end
-        assert start == len(colors), "subcategory counts do not match the category"
+    taken = [0] * len(categories)
+    for sc, count in zip(subcats, counts):
+        ci = sc.category_index
+        colors = categories[ci].colors[taken[ci] : taken[ci] + count]
+        taken[ci] += count
+        for t in sc.type_set:
+            if t in routed:
+                routed[t].extend(colors)
+    assert taken == [c.color_count for c in categories], "counts miss a category"
 
     color_of = dict(reduced.precolor)
     for t in reduced.active_types:

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from ndsolve.cli import run
+from ndsolve import solve_precolor
+from ndsolve.cli import bench_cells, run
+from ndsolve.generate import random_instance, random_template
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -190,3 +192,16 @@ def test_bench_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 1
     assert rows[0]["ilp_vars"] is not None
+
+
+def test_bench_reports_the_largest_ilp_over_seeds():
+    # the seeds of this cell build systems of different sizes, the last one
+    # not the largest, so the row must not depend on seed order
+    reports = [
+        solve_precolor(random_instance("precolor", random_template(2, 12, s), s))
+        for s in range(3)
+    ]
+    per_seed = [report.ilp_vars for report in reports]
+    assert per_seed[-1] < max(per_seed)
+    [row] = bench_cells("precolor", [2], [12], 3)
+    assert row["ilp_vars"] == max(per_seed)

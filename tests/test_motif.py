@@ -12,7 +12,7 @@ from ndsolve import (
     solve_motif,
     validate_motif_witness,
 )
-from ndsolve.generate import random_instance, random_template
+from ndsolve.generate import generate_from_template, random_instance, random_template
 from ndsolve.motif import (
     candidate_type_set,
     connected_type_sets,
@@ -56,6 +56,24 @@ def test_single_color_short_circuit():
     assert not solve_motif(
         MotifInstance(Graph.from_edges(3, []), (1, 2, 1), (3,))
     ).answer
+
+
+def test_absent_motif_color_answers_before_any_growth(monkeypatch):
+    # colors 1-3 on 24 types and a motif that also asks for color 4: the
+    # pool of every motif-colored type together misses it, so no set is grown
+    graph = generate_from_template(random_template(24, 72, 5, edge_prob=0.3), 5)
+    rng = random.Random(5)
+    inst = MotifInstance(
+        graph, tuple(rng.randint(1, 3) for _ in range(72)), (1, 1, 2, 2, 3, 3, 4)
+    )
+
+    def never(*args):
+        raise AssertionError("connected_type_sets was called")
+
+    monkeypatch.setattr("ndsolve.motif.connected_type_sets", never)
+    report = solve_motif(inst)
+    assert report.nd == 24
+    assert not report.answer
 
 
 def _decomposed(inst):

@@ -72,12 +72,15 @@ def test_materialize_round_trip_sizes():
 
 
 def test_categories_no_precoloring():
-    inst = PrecolorInstance(complete_graph(3), {}, 4)
-    reduced, _ = _reduced(inst)
-    cats = compute_color_categories(reduced)
-    assert len(cats) == 1
-    assert cats[0].type_set == frozenset()
-    assert cats[0].colors == (1, 2, 3, 4)
+    # three vertices use at most three of the four interchangeable colors;
+    # a budget below n lists every color
+    for budget, colors in ((4, (1, 2, 3)), (2, (1, 2))):
+        inst = PrecolorInstance(complete_graph(3), {}, budget)
+        reduced, _ = _reduced(inst)
+        cats = compute_color_categories(reduced)
+        assert len(cats) == 1
+        assert cats[0].type_set == frozenset()
+        assert cats[0].colors == colors
 
 
 def test_categories_group_by_pinned_types():
@@ -284,6 +287,19 @@ def test_huge_color_budget_solves_in_linear_time():
     assert report.answer
     validate_coloring_witness(inst, report.witness.colors)
     assert report.witness.colors == (1, 2)
+
+
+def test_huge_budget_lists_at_most_n_plus_one_colors():
+    # 30 disjoint edges, one pin: a coloring needs at most n fresh colors,
+    # so the categories stay small however large the budget is
+    inst = _matching_instance(30)
+    inst = PrecolorInstance(inst.graph, inst.precolor, 10**6)
+    reduced, _ = _reduced(inst)
+    cats = compute_color_categories(reduced)
+    assert sum(c.color_count for c in cats) <= inst.graph.n + 1
+    report = solve_precolor(inst)
+    assert report.answer
+    validate_coloring_witness(inst, report.witness.colors)
 
 
 def test_rows_follow_the_subcategories():
