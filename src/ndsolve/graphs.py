@@ -14,6 +14,10 @@ class Graph:
     Build through :meth:`from_edges`, which checks vertex ids, rejects
     self-loops and duplicate edges, and symmetrizes the adjacency; or
     through :meth:`from_neighbor_sets` from rows that are already checked.
+    Vertices with equal open neighborhoods (independent twins) share one
+    row tuple, so the rows take memory in proportion to the distinct
+    neighborhoods.  Rows are
+    values: nothing mutates them, and nothing compares them by identity.
     """
 
     n: int
@@ -41,8 +45,12 @@ class Graph:
 
         The rows are taken as they are: the caller has already checked ids,
         self-loops and duplicates and added each edge to both endpoints.
+        Equal rows are interned, so twins share one tuple.
         """
-        adj = tuple(tuple(sorted(row)) for row in neighbors)
+        distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
+        adj = tuple(
+            distinct.setdefault(row, row) for row in map(tuple, map(sorted, neighbors))
+        )
         return cls(len(adj), adj)
 
     @property

@@ -11,6 +11,8 @@ motif's total count are held to the same limit.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
+from typing import Iterator
 
 from .graphs import Graph
 from .instances import MotifInstance, PathsInstance, PrecolorInstance
@@ -18,12 +20,17 @@ from .instances import MotifInstance, PathsInstance, PrecolorInstance
 Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 
 # Largest vertex count a header may declare.  parse_instance allocates one
-# neighbor set per vertex as soon as it reads the header, before any edge,
-# about 0.24 KB each, so the cap bounds an edgeless graph at roughly 240 MB.
+# neighbor set and one id object per vertex as soon as it reads the header,
+# before any edge, about 0.27 KB together (tracemalloc peak, Python 3.11), so
+# the cap bounds an edgeless graph at roughly 270 MB.
 # The sum of the 'motif' counts shares the cap, as the motif is held as one
 # entry per occurrence.  So does the 'colors' budget, to keep one limit on
 # every count a file declares; precoloring lists at most n + #pinned colors.
 MAX_VERTICES = 10**6
+
+# Characters per slice of text split into lines at once; each slice ends
+# just after a newline, so it never splits a line or a '\r\n' pair.
+_SLICE = 1 << 16
 
 # keyword -> (family, line name, usage, argument kinds).  A kind is 'v' (a
 # 1-based vertex id), 'c' (a positive color) or 'n' (a positive count); all
@@ -59,6 +66,16 @@ def _vertex(token: str, n: int, line: int) -> int:
     return v - 1
 
 
+def _slice_lines(text: str) -> Iterator[list[str]]:
+    """The lines of ``text`` as ``str.splitlines`` gives them, one list per
+    slice of about :data:`_SLICE` characters."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _SLICE) + 1 or end
+        yield text[start:cut].splitlines()
+        start = cut
+
+
 def parse_instance(text: str) -> Instance:
     """Parse instance text into a graph or an annotated problem instance."""
     n: int | None = None
@@ -72,7 +89,7 @@ def parse_instance(text: str) -> Instance:
     num_colors: int | None = None
     family: str | None = None
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(chain.from_iterable(_slice_lines(text)), 1):
         if "#" in line:
             line = line.split("#", 1)[0]
         tokens = line.split()
@@ -99,8 +116,8 @@ def parse_instance(text: str) -> Instance:
             if v in row:
                 a, b = sorted((u, v))
                 raise ParseError(f"duplicate edge ({a + 1}, {b + 1})", line_no)
-            row.add(v)
-            neighbors[v].add(u)
+            row.add(ids[v])
+            neighbors[v].add(ids[u])
             continue
 
         if keyword == "p":
@@ -116,6 +133,7 @@ def parse_instance(text: str) -> Instance:
                     f"vertex count exceeds the limit {MAX_VERTICES}: {n}", line_no
                 )
             neighbors = [set() for _ in range(n)]
+            ids = list(range(n))  # one int object per vertex for every row
             continue
         if n is None:
             raise ParseError("'p graph <n>' header must come first", line_no)

@@ -204,22 +204,29 @@ def maximal_independent_supersets(
     """Each maximal superset of ``base`` by pairwise non-adjacent types
     from ``addable``, once.
 
-    ``addable`` types must already be non-adjacent to ``base``.  The sets
-    are the maximal cliques of the complement of the type graph on
-    ``addable``, listed by Bron-Kerbosch with a pivot on bitmasks over an
-    explicit stack.  A frame holds the ``chosen`` types, the ``candidates``
-    compatible with all of them, the ``excluded`` compatible types whose
-    branch is done, and the ``todo`` candidates still to branch on, lowest
-    id first: those incompatible with the pivot, a type that leaves the
-    fewest.  A set is maximal when no candidate or excluded type remains.
+    ``addable`` types must already be non-adjacent to ``base``.  A type
+    compatible with every other addable type is in every maximal set, so it
+    joins the base first.  The sets are the maximal cliques of the
+    complement of the type graph on the other addable types, listed by
+    Bron-Kerbosch with a pivot on bitmasks over an explicit stack.  A frame
+    holds the ``chosen`` types, the ``candidates`` compatible with all of
+    them, the ``excluded`` compatible types whose branch is done, and the
+    ``todo`` candidates still to branch on, lowest id first: those
+    incompatible with the pivot, a type that leaves the fewest.  A set is
+    maximal when no candidate or excluded type remains.
     """
     pool = 0
     for t in addable:
         pool |= 1 << t
     compat = [0] * type_graph.num_types
+    universal = 0
     for t in addable:
         adjacent = sum(1 << u for u in type_graph.adj[t])
         compat[t] = pool & ~adjacent & ~(1 << t)
+        if compat[t] | 1 << t == pool:
+            universal |= 1 << t
+    pool ^= universal
+    base = base.union(mask_members(universal))
 
     def frame(chosen: int, candidates: int, excluded: int) -> list[int]:
         pivot = max(
@@ -255,31 +262,33 @@ def build_precolor_ilp(
     type_graph: TypeGraph,
 ) -> tuple[IlpProblem, tuple[ColorSubcategory, ...]]:
     """Count variables for the maximal subcategories, the category
-    equations and the covering rows of the active types."""
+    equations and the covering rows of the active types.
+
+    Independence checks use one adjacency mask per type, so a type set
+    costs O(|set|) mask operations."""
+    k = type_graph.num_types
+    adjacent = [sum(1 << u for u in row) for row in type_graph.adj]
+    frozen = sum(1 << t for t in reduced.frozen_types)
     subcats: list[ColorSubcategory] = []
-    covering: list[list[int]] = [[] for _ in range(type_graph.num_types)]
+    covering: list[list[int]] = [[] for _ in range(k)]
     constraints = []
     for ci, category in enumerate(categories):
         if category.color_count == 0:
             continue
         base = category.type_set
+        base_mask = sum(1 << t for t in base)
+        blocked = base_mask | frozen
         for a in base:
-            for b in base:
-                if a < b and type_graph.has_edge(a, b):
-                    raise ValueError("category types are adjacent; input is corrupt")
-        addable = [
-            t
-            for t in range(type_graph.num_types)
-            if t not in base
-            and t not in reduced.frozen_types
-            and all(not type_graph.has_edge(t, u) for u in base)
-        ]
+            if adjacent[a] & base_mask:
+                raise ValueError("category types are adjacent; input is corrupt")
+            blocked |= adjacent[a]
+        addable = mask_members(((1 << k) - 1) & ~blocked)
         first = len(subcats)
         for type_set in maximal_independent_supersets(type_graph, base, addable):
+            set_mask = sum(1 << a for a in type_set)
             for a in type_set:
                 covering[a].append(len(subcats))
-                for b in type_set:
-                    assert a == b or not type_graph.has_edge(a, b)
+                assert not adjacent[a] & set_mask
             subcats.append(ColorSubcategory(ci, type_set))
         row = tuple((i, 1) for i in range(first, len(subcats)))
         constraints.append(LinearConstraint(row, "=", category.color_count))

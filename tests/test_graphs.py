@@ -20,6 +20,15 @@ def test_from_edges_builds_sorted_symmetric_adjacency():
     assert list(g.edges()) == [(0, 1), (0, 2), (1, 3)]
 
 
+def test_independent_twins_share_one_row_from_edges():
+    g = complete_bipartite(2, 3)
+    assert g.adj[0] is g.adj[1]
+    assert g.adj[2] is g.adj[3] is g.adj[4]
+    assert g.adj[0] is not g.adj[2]
+    # twins in a clique differ in their open neighborhoods
+    assert complete_graph(3).adj == ((1, 2), (0, 2), (0, 1))
+
+
 def test_from_edges_rejects_bad_input():
     with pytest.raises(ValueError, match="self-loop"):
         Graph.from_edges(2, [(1, 1)])

@@ -11,7 +11,8 @@ from ndsolve import (
     parse_instance,
     serialize_instance,
 )
-from helpers import small_sweep_instance
+from ndsolve.io import _SLICE
+from helpers import reference_parse_instance, small_sweep_instance
 
 
 def test_parse_bare_graph():
@@ -145,3 +146,130 @@ def test_empty_paths_instance_serializes_to_bare_graph():
     parsed = parse_instance(serialize_instance(inst))
     assert isinstance(parsed, Graph)
     assert parsed == inst.graph
+
+
+def _sparse_graph(rng, n, m):
+    """Random graph with n vertices and m distinct edges."""
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _longer_than_a_slice(rng):
+    g = _sparse_graph(rng, 1500, 12000)
+    text = serialize_instance(g)
+    assert len(text) > 1.5 * _SLICE
+    return g, text
+
+
+def test_independent_twins_share_one_row():
+    # K_{2,3}: each side is an independent type, so its members' rows are equal
+    g = parse_instance("p graph 5\ne 1 3\ne 1 4\ne 1 5\ne 2 3\ne 2 4\ne 2 5\n")
+    assert g.adj[0] is g.adj[1]
+    assert g.adj[2] is g.adj[3] is g.adj[4]
+
+
+def test_adjacency_holds_one_int_object_per_vertex():
+    # ids above 256 lie outside the interpreter's cache of small ints, so
+    # every parsed token would otherwise be an object of its own
+    g = parse_instance(serialize_instance(_sparse_graph(random.Random(5), 2000, 6000)))
+    entries = [v for row in g.adj for v in row]
+    assert len({id(v) for v in entries}) == len(set(entries))
+
+
+def test_bad_line_in_a_later_slice_reports_its_line_number():
+    rng = random.Random(17)
+    _, text = _longer_than_a_slice(rng)
+    lines = text.splitlines()
+    offset = 0
+    for bad, line in enumerate(lines):
+        offset += len(line) + 1
+        if offset > 1.2 * _SLICE:
+            break
+    lines[bad] = "e 7 x"
+    broken = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(broken)
+    assert err.value.line == bad + 1
+    assert str(err.value) == f"line {bad + 1}: vertex id is not an integer: 'x'"
+    with pytest.raises(ParseError) as ref:
+        reference_parse_instance(broken)
+    assert (str(ref.value), ref.value.line) == (str(err.value), err.value.line)
+
+
+def test_crlf_and_cr_text_parse_like_lf_text():
+    rng = random.Random(23)
+    g, text = _longer_than_a_slice(rng)
+    text += "pair 1 2\npair 3 4\n"
+    expected = parse_instance(text)
+    assert expected == PathsInstance(g, ((0, 1), (2, 3)))
+    for newline in ("\r\n", "\r"):
+        assert parse_instance(text.replace("\n", newline)) == expected
+
+
+def test_round_trip_graph_longer_than_a_slice():
+    g, text = _longer_than_a_slice(random.Random(29))
+    assert parse_instance(text) == g
+
+
+_BAD_TOKENS = ("0", "x", "+2", "1_0", "-1", "1.0", "")
+
+
+def _mutate(rng, text, n):
+    """Apply one to three line edits, then join with a random newline."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(7)
+        i = rng.randrange(len(lines))
+        if op == 0:  # duplicated line
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        elif op == 1:  # swapped lines
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 2:  # blank line
+            lines.insert(i, rng.choice(("", "  ", "\t")))
+        elif op == 3:  # tabs
+            lines[i] = lines[i].replace(" ", "\t")
+        elif op == 4:  # comment
+            lines[i] += rng.choice((" # note", "#", "\t# e 1 1"))
+        elif op == 5:  # bad token
+            tokens = lines[i].split()
+            if tokens:
+                tokens[rng.randrange(len(tokens))] = rng.choice(_BAD_TOKENS)
+                lines[i] = " ".join(tokens)
+        else:  # self-loop
+            v = rng.randint(1, max(n, 1))
+            lines.insert(i, f"e {v} {v}")
+    return rng.choice(("\n", "\n", "\r\n", "\r")).join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line)
+
+
+def test_parser_matches_the_reference_on_mutated_instances():
+    rng = random.Random(2024)
+    big = [
+        _sparse_graph(rng, 1200, 8000),
+        PathsInstance(_sparse_graph(rng, 1000, 7000), ((0, 1), (5, 9))),
+        MotifInstance(
+            _sparse_graph(rng, 1000, 7000),
+            tuple(rng.randint(1, 3) for _ in range(1000)),
+            (1, 2, 2),
+        ),
+    ]
+    for trial in range(1230):
+        if trial < 30:
+            inst = big[trial % len(big)]
+        else:
+            inst = small_sweep_instance(rng.choice(("motif", "paths", "precolor")), rng)
+        graph = inst if isinstance(inst, Graph) else inst.graph
+        text = serialize_instance(inst)
+        if trial % 10:
+            text = _mutate(rng, text, graph.n)
+        assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
