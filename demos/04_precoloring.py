@@ -1,11 +1,12 @@
 """Extending a partial proper coloring with a fixed color budget.
 
-Independent classes reduce away first (a pinned color floods its class, a
-fully uncolored class acts as one vertex).  The remaining question is
+Independent classes reduce by type first (a pinned color floods its class,
+a fully uncolored class needs one color).  The remaining question is
 distributional: group colors by where the input pins them, decide how many
 colors of each group go to each maximal set of pairwise non-adjacent
-classes, ask every class to receive at least as many colors as it has
-vertices, and solve the resulting integer system.
+classes, ask every class that is not frozen for the colors it needs (one
+per vertex of a clique, one for an independent class), and solve the
+resulting integer system.
 
 Run with: python3 demos/04_precoloring.py
 """
@@ -13,6 +14,7 @@ Run with: python3 demos/04_precoloring.py
 from ndsolve import (
     Graph,
     PrecolorInstance,
+    build_type_graph,
     compute_type_partition,
     reduce_independent_types,
     solve_precolor,
@@ -30,26 +32,31 @@ for budget in (2, 3):
     if report.answer:
         print("   full coloring:", list(report.witness.colors))
 
-# The reduction in isolation: one pinned vertex floods its independent
-# class, a fully uncolored class collapses to a representative.
+# The reduction works on types: a pinned leaf freezes its independent
+# class (its open leaves take the pinned color, no other color is routed
+# there); a class with nothing pinned needs one color, a clique one per
+# vertex.  The covering rows of the integer system ask for these needs.
 fan = Graph.from_edges(7, [(v, 6) for v in range(6)])
-inst = PrecolorInstance(fan, {0: 4}, 4)
-partition = compute_type_partition(fan)
-reduced = reduce_independent_types(inst, partition)
-print("\nfan with one pinned leaf:")
-print("   extended precoloring:", dict(sorted(reduced.precolor.items())))
-print("   frozen classes:", sorted(reduced.frozen_types))
-
-inst2 = PrecolorInstance(fan, {}, 2)
-reduced2 = reduce_independent_types(inst2, compute_type_partition(fan))
-print("fan with nothing pinned: collapsed groups", reduced2.collapsed)
+for pins, budget in (({0: 4}, 4), ({}, 2)):
+    inst = PrecolorInstance(fan, pins, budget)
+    partition = compute_type_partition(fan)
+    frozen = reduce_independent_types(inst, partition)
+    type_graph = build_type_graph(fan, partition)
+    needs = {
+        t: type_graph.size[t] if type_graph.clique_flag[t] else 1
+        for t in range(partition.num_types)
+        if t not in frozen
+    }
+    print(f"\nfan with pins {pins}:")
+    print("   frozen classes:", sorted(frozen))
+    print("   colors each other class needs:", needs)
+    print("   full coloring:", list(solve_precolor(inst).witness.colors))
 
 # Color categories are fixed by the input; the solver only has to split
 # them among the maximal occupancy patterns.
 k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 inst3 = PrecolorInstance(k4, {0: 2, 1: 5}, 6)
-reduced3 = reduce_independent_types(inst3, compute_type_partition(k4))
-for category in compute_color_categories(reduced3):
+for category in compute_color_categories(inst3, compute_type_partition(k4)):
     where = sorted(category.type_set) or "nowhere"
     print(f"   colors {category.colors} pinned in {where}")
 report = solve_precolor(inst3)

@@ -157,9 +157,9 @@ def _dump_ilp(problem_name: str, instance) -> None:
     if problem_name == "paths":
         ilp, _ = build_paths_ilp(instance, partition, type_graph)
     else:
-        reduced = reduce_independent_types(instance, partition)
-        categories = compute_color_categories(reduced)
-        ilp, _ = build_precolor_ilp(reduced, categories, type_graph)
+        frozen = reduce_independent_types(instance, partition)
+        categories = compute_color_categories(instance, partition)
+        ilp, _ = build_precolor_ilp(frozen, categories, type_graph)
     sys.stderr.write(format_problem(ilp))
 
 

@@ -215,34 +215,34 @@ def compute_vertex_cover(graph: Graph, budget: int) -> tuple[int, ...] | None:
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     adj = {v: set(graph.adj[v]) for v in range(graph.n) if graph.adj[v]}
-    # pending branches, the next one on top: (graph before the branch, the
-    # vertices it puts in the cover, budget left after them, depth); ``path``
-    # holds the vertex sets picked from the root down to the current branch
-    stack = [(adj, set(), budget, 0)]
-    path: list[set[int]] = []
+    # ``adj`` is the graph left on the current branch and is edited in
+    # place; ``removed`` logs each vertex put in the cover on that branch
+    # with its neighbors at the time, so it also holds the cover.  Pending
+    # branches, the next one on top: (log length at the parent, the
+    # vertices the branch puts in the cover, budget left after them)
+    removed: list[tuple[int, set[int]]] = []
+    stack = [(0, (), budget)]
     while stack:
-        parent, picked, left, depth = stack.pop()
-        del path[depth:]
-        path.append(picked)
-        adj = _without(parent, picked)
+        mark, picked, left = stack.pop()
+        while len(removed) > mark:
+            u, nbrs = removed.pop()
+            adj[u] = nbrs
+            for w in nbrs:
+                adj.setdefault(w, set()).add(u)
+        for u in picked:
+            nbrs = adj.pop(u)
+            removed.append((u, nbrs))
+            for w in nbrs:
+                adj[w].remove(u)
+                if not adj[w]:
+                    del adj[w]
         if not adj:
-            return tuple(sorted(v for vs in path for v in vs))
+            return tuple(sorted(u for u, _ in removed))
         if left == 0:
             continue
         v = max(adj, key=lambda u: (len(adj[u]), -u))
         # excluding v forces its neighbors in, which also isolates v
         if len(adj[v]) <= left:
-            stack.append((adj, adj[v], left - len(adj[v]), depth + 1))
-        stack.append((adj, {v}, left - 1, depth + 1))
+            stack.append((len(removed), tuple(adj[v]), left - len(adj[v])))
+        stack.append((len(removed), (v,), left - 1))
     return None
-
-
-def _without(adj: dict[int, set[int]], removed: set[int]) -> dict[int, set[int]]:
-    out = {}
-    for u, nbrs in adj.items():
-        if u in removed:
-            continue
-        rest = nbrs - removed
-        if rest:
-            out[u] = rest
-    return out

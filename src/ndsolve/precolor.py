@@ -1,38 +1,38 @@
 """Exact precoloring extension via color categories and integer feasibility.
 
-Independent-set types are reduced first: once any of their vertices is
-precolored that color works for all of them (equal neighborhoods, no
-internal edges), and a fully uncolored independent type may just as well
-be a single vertex.  After the reduction every independent type is either
-fully precolored ("frozen") or one uncolored vertex; all other types stay
-"active".
+Independent types are reduced as types, never vertex by vertex.  The
+vertices of an independent type share their neighbors and have no edge
+among them, so a color pinned on one of them fits all of them: such a type
+is *frozen*, its open vertices take its lowest pinned color and no other
+color has to reach it.  An independent type with nothing pinned needs a
+single color, which all its vertices share.  Clique types are untouched.
+:func:`reduce_independent_types` reads the frozen types off the pinned
+vertices alone; every other type is "active".
 
 Colors are then grouped by where the input pins them: a category collects
 the colors precolored in the same set of types.  The colors nobody pinned
 are interchangeable and a coloring uses at most n of them, so their
 category lists at most n colors, never the whole budget.  Each color of a
 category is routed to a subcategory, a set of types that contains the
-category's types, adds no frozen type (its vertices are all taken) and
+category's types, adds no frozen type (it needs no further color) and
 holds no adjacent type pair (a color shared across a fully-joined pair
 would sit on an edge).  Only the maximal such sets are needed, and one
 count variable per subcategory gives a small integer system:
 
 * per category, its subcategory counts sum to the category's color count;
-* per active type, the subcategories containing it sum to at least the
-  type size.
+* per active type, the subcategories containing it sum to at least its
+  need: the type size for a clique, 1 for an independent type.
 
 The covering rows make maximal sets enough.  A coloring that extends the
 input puts each color on an independent set of types; enlarging that set
-to a maximal one only adds types to the rows, and each vertex of an active
-type has its own color (cliques are rainbow, reduced independent types
-have one vertex), so every row still holds.  Conversely, a feasible count
-table routes at least size(t) colors to each active type t; its pinned
-colors already sit on their vertices, the lowest other routed colors fill
-the open vertices and any surplus color is simply left off t.  Two uses of
-one color always lie in one independent set of types, so the result is
-proper.  Frozen types are left out of the per-type rows because one color
-may legally cover several of their vertices; their adjacency constraints
-still apply through the categories.
+to a maximal one only adds types to the rows, and an active type carries
+at least its need in distinct colors, so every row still holds.
+Conversely, a feasible count table routes at least need(t) colors to each
+active type t; its pinned colors already sit on their vertices, the lowest
+other routed colors fill the open vertices and any surplus color is simply
+left off t.  Two uses of one color always lie in one independent set of
+types, so the result is proper.  Frozen types are left out of the per-type
+rows; their adjacency constraints still apply through the categories.
 
 The witness follows from the first feasible count table of the search,
 with variables ordered by category and then in the order
@@ -53,49 +53,8 @@ from .decomposition import (
     compute_type_partition,
     mask_members,
 )
-from .graphs import Graph
 from .ilp import IlpProblem, LinearConstraint, solve_feasibility
 from .instances import PrecolorInstance, SolveReport, validate_coloring_witness
-
-
-@dataclass(frozen=True)
-class ReducedInstance:
-    """Instance after the independent-type reduction.
-
-    ``effective`` lists, per type, the vertices that still matter (for a
-    collapsed type just its representative); ``collapsed`` maps each
-    representative to the original vertex set it stands for.  Expanding the
-    collapsed vertices and keeping the extended precolors reproduces a
-    coloring-equivalent original instance.
-    """
-
-    base: PrecolorInstance
-    partition: TypePartition
-    precolor: dict[int, int]
-    collapsed: dict[int, tuple[int, ...]]
-    effective: tuple[tuple[int, ...], ...]
-    active_types: tuple[int, ...]
-    frozen_types: frozenset[int]
-
-    def effective_size(self, t: int) -> int:
-        return len(self.effective[t])
-
-    def materialize(self) -> tuple[PrecolorInstance, tuple[int, ...]]:
-        """Standalone instance on the kept vertices, plus the kept-id map."""
-        keep = sorted(v for members in self.effective for v in members)
-        new_id = {v: i for i, v in enumerate(keep)}
-        graph = self.base.graph
-        edges = [
-            (new_id[u], new_id[v])
-            for u, v in graph.edges()
-            if u in new_id and v in new_id
-        ]
-        precolor = {new_id[v]: c for v, c in self.precolor.items() if v in new_id}
-        reduced_graph = Graph.from_edges(len(keep), edges)
-        return (
-            PrecolorInstance(reduced_graph, precolor, self.base.num_colors),
-            tuple(keep),
-        )
 
 
 @dataclass(frozen=True)
@@ -127,66 +86,36 @@ class ColoringWitness:
 
 def reduce_independent_types(
     instance: PrecolorInstance, partition: TypePartition
-) -> ReducedInstance:
-    """Freeze or collapse every independent type; cliques stay untouched."""
-    precolor = dict(instance.precolor)
-    collapsed: dict[int, tuple[int, ...]] = {}
-    effective: list[tuple[int, ...]] = []
-    frozen: set[int] = set()
+) -> frozenset[int]:
+    """The frozen types: independent types with a pinned vertex.
 
-    for t, members in enumerate(partition.classes):
-        if partition.clique_flag[t]:
-            effective.append(members)
-            continue
-        uncolored = [v for v in members if v not in precolor]
-        if not uncolored:
-            frozen.add(t)
-            effective.append(members)
-            continue
-        pinned = sorted(precolor[v] for v in members if v in precolor)
-        if pinned:
-            # some color is already pinned here: it works for the whole type
-            for v in uncolored:
-                precolor[v] = pinned[0]
-            frozen.add(t)
-            effective.append(members)
-        else:
-            rep = members[0]
-            if len(members) > 1:
-                collapsed[rep] = members
-            effective.append((rep,))
-
-    active = tuple(t for t in range(partition.num_types) if t not in frozen)
-    return ReducedInstance(
-        base=instance,
-        partition=partition,
-        precolor=precolor,
-        collapsed=collapsed,
-        effective=tuple(effective),
-        active_types=active,
-        frozen_types=frozenset(frozen),
+    Reads only the pinned vertices, so it costs O(#pinned)."""
+    type_of, clique_flag = partition.type_of, partition.clique_flag
+    return frozenset(
+        type_of[v] for v in instance.precolor if not clique_flag[type_of[v]]
     )
 
 
-def compute_color_categories(reduced: ReducedInstance) -> tuple[ColorCategory, ...]:
+def compute_color_categories(
+    instance: PrecolorInstance, partition: TypePartition
+) -> tuple[ColorCategory, ...]:
     """Group the pinned colors by the set of types they are precolored in.
 
     The category with the empty type set holds the unpinned colors among
     1..min(r, n + #pinned), at least min(r - #pinned, n) of them, and is
     always present, possibly with zero colors.
     """
-    type_of = reduced.partition.type_of
+    type_of = partition.type_of
     pinned_types: dict[int, set[int]] = {}
     seen_in_type: set[tuple[int, int]] = set()
-    # the reduction only repeats (type, color) pairs the input already has
-    for v, c in reduced.base.precolor.items():
+    for v, c in instance.precolor.items():
         t = type_of[v]
-        if reduced.partition.clique_flag[t] and (t, c) in seen_in_type:
+        if partition.clique_flag[t] and (t, c) in seen_in_type:
             raise ValueError(f"color {c} precolored twice inside clique type {t}")
         seen_in_type.add((t, c))
         pinned_types.setdefault(c, set()).add(t)
 
-    last = min(reduced.base.num_colors, reduced.base.graph.n + len(pinned_types))
+    last = min(instance.num_colors, instance.graph.n + len(pinned_types))
     groups = {frozenset(): [c for c in range(1, last + 1) if c not in pinned_types]}
     for c, types in pinned_types.items():
         groups.setdefault(frozenset(types), []).append(c)
@@ -257,7 +186,7 @@ def maximal_independent_supersets(
 
 
 def build_precolor_ilp(
-    reduced: ReducedInstance,
+    frozen: frozenset[int],
     categories: tuple[ColorCategory, ...],
     type_graph: TypeGraph,
 ) -> tuple[IlpProblem, tuple[ColorSubcategory, ...]]:
@@ -268,7 +197,7 @@ def build_precolor_ilp(
     costs O(|set|) mask operations."""
     k = type_graph.num_types
     adjacent = [sum(1 << u for u in row) for row in type_graph.adj]
-    frozen = sum(1 << t for t in reduced.frozen_types)
+    frozen_mask = sum(1 << t for t in frozen)
     subcats: list[ColorSubcategory] = []
     covering: list[list[int]] = [[] for _ in range(k)]
     constraints = []
@@ -277,7 +206,7 @@ def build_precolor_ilp(
             continue
         base = category.type_set
         base_mask = sum(1 << t for t in base)
-        blocked = base_mask | frozen
+        blocked = base_mask | frozen_mask
         for a in base:
             if adjacent[a] & base_mask:
                 raise ValueError("category types are adjacent; input is corrupt")
@@ -292,9 +221,11 @@ def build_precolor_ilp(
             subcats.append(ColorSubcategory(ci, type_set))
         row = tuple((i, 1) for i in range(first, len(subcats)))
         constraints.append(LinearConstraint(row, "=", category.color_count))
-    for t in reduced.active_types:
-        row = tuple((i, -1) for i in covering[t])
-        constraints.append(LinearConstraint(row, "<=", -reduced.effective_size(t)))
+    for t in range(k):
+        if t not in frozen:
+            need = type_graph.size[t] if type_graph.clique_flag[t] else 1
+            row = tuple((i, -1) for i in covering[t])
+            constraints.append(LinearConstraint(row, "<=", -need))
     num_vars = len(subcats)
     upper = tuple(categories[sc.category_index].color_count for sc in subcats)
     problem = IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
@@ -302,7 +233,9 @@ def build_precolor_ilp(
 
 
 def reconstruct_coloring(
-    reduced: ReducedInstance,
+    instance: PrecolorInstance,
+    partition: TypePartition,
+    frozen: frozenset[int],
     categories: tuple[ColorCategory, ...],
     subcats: tuple[ColorSubcategory, ...],
     counts: Sequence[int],
@@ -310,38 +243,42 @@ def reconstruct_coloring(
     """Turn feasible subcategory counts into a full proper coloring.
 
     Subcategories are walked once in variable order, and each takes the
-    next ``count`` colors of its category.  On each active type, the colors
-    routed there and not already pinned to a precolored vertex are fresh;
-    the lowest of them land on the uncolored vertices in id order and the
-    surplus stays off the type.  Collapsed vertices copy their
-    representative.  The covering rows guarantee enough fresh colors.
+    next ``count`` colors of its category.  One color list, seeded from the
+    precoloring, is then filled class by class: a frozen class's open
+    vertices take its lowest pinned color, an independent class's open
+    vertices share its lowest routed color, and a clique's open vertices
+    take, in id order, the lowest routed colors not pinned inside it.  The
+    surplus stays off the type; the covering rows guarantee enough colors.
     """
-    routed: dict[int, list[int]] = {t: [] for t in reduced.active_types}
+    routed: list[list[int]] = [[] for _ in range(partition.num_types)]
     taken = [0] * len(categories)
     for sc, count in zip(subcats, counts):
         ci = sc.category_index
         colors = categories[ci].colors[taken[ci] : taken[ci] + count]
         taken[ci] += count
         for t in sc.type_set:
-            if t in routed:
+            if t not in frozen:
                 routed[t].extend(colors)
     assert taken == [c.color_count for c in categories], "counts miss a category"
 
-    color_of = dict(reduced.precolor)
-    for t in reduced.active_types:
-        members = reduced.effective[t]
-        pinned = {color_of[v] for v in members if v in color_of}
-        fresh = [c for c in sorted(routed[t]) if c not in pinned]
-        open_slots = [v for v in members if v not in color_of]
-        assert len(fresh) >= len(open_slots), "type row is not covered"
-        for v, c in zip(open_slots, fresh):
+    color_of = [0] * instance.graph.n
+    for v, c in instance.precolor.items():
+        color_of[v] = c
+    for t, members in enumerate(partition.classes):
+        open_slots = [v for v in members if not color_of[v]]
+        if not open_slots:
+            continue
+        if t in frozen:
+            fill = [min(color_of[v] for v in members if color_of[v])] * len(open_slots)
+        elif partition.clique_flag[t]:
+            pinned = {color_of[v] for v in members if color_of[v]}
+            fill = [c for c in sorted(routed[t]) if c not in pinned]
+        else:
+            fill = sorted(routed[t])[:1] * len(open_slots)
+        assert len(fill) >= len(open_slots), "type row is not covered"
+        for v, c in zip(open_slots, fill):
             color_of[v] = c
-    for rep, members in reduced.collapsed.items():
-        for v in members:
-            color_of[v] = color_of[rep]
-    n = reduced.base.graph.n
-    assert len(color_of) == n
-    return ColoringWitness(tuple(color_of[v] for v in range(n)))
+    return ColoringWitness(tuple(color_of))
 
 
 def solve_precolor(instance: PrecolorInstance) -> SolveReport:
@@ -349,13 +286,15 @@ def solve_precolor(instance: PrecolorInstance) -> SolveReport:
     start = time.perf_counter()
     partition = compute_type_partition(instance.graph)
     type_graph = build_type_graph(instance.graph, partition)
-    reduced = reduce_independent_types(instance, partition)
-    categories = compute_color_categories(reduced)
-    problem, subcats = build_precolor_ilp(reduced, categories, type_graph)
+    frozen = reduce_independent_types(instance, partition)
+    categories = compute_color_categories(instance, partition)
+    problem, subcats = build_precolor_ilp(frozen, categories, type_graph)
     solution = solve_feasibility(problem)
     witness: ColoringWitness | None = None
     if solution is not None:
-        witness = reconstruct_coloring(reduced, categories, subcats, solution.values)
+        witness = reconstruct_coloring(
+            instance, partition, frozen, categories, subcats, solution.values
+        )
         validate_coloring_witness(instance, witness.colors)
     elapsed = (time.perf_counter() - start) * 1000.0
     return SolveReport(

@@ -215,6 +215,41 @@ def small_sweep_instance(problem: str, rng: random.Random, max_n: int = 12):
     )
 
 
+def reference_reduced_instance(
+    instance: PrecolorInstance, partition: TypePartition, frozen: frozenset[int]
+) -> PrecolorInstance:
+    """The smaller instance the independent-type reduction stands for,
+    built vertex by vertex.
+
+    Each frozen class's open vertices are pinned to the class's lowest
+    pinned color, and each unpinned independent class is cut to its lowest
+    vertex; clique classes stay whole.  ``frozen`` must be exactly the
+    independent classes with a pinned vertex, else ``AssertionError``.
+    """
+    precolor = dict(instance.precolor)
+    keep = []
+    for t, members in enumerate(partition.classes):
+        pins = [instance.precolor[v] for v in members if v in instance.precolor]
+        independent = not partition.clique_flag[t]
+        assert (t in frozen) == (independent and bool(pins)), f"class {t}"
+        if t in frozen:
+            for v in members:
+                precolor.setdefault(v, min(pins))
+        keep.extend(members[:1] if independent and not pins else members)
+    keep.sort()
+    new_id = {v: i for i, v in enumerate(keep)}
+    edges = [
+        (new_id[u], new_id[v])
+        for u, v in instance.graph.edges()
+        if u in new_id and v in new_id
+    ]
+    return PrecolorInstance(
+        Graph.from_edges(len(keep), edges),
+        {new_id[v]: c for v, c in precolor.items() if v in new_id},
+        instance.num_colors,
+    )
+
+
 def random_labeled_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v)

@@ -21,6 +21,7 @@ from helpers import (
     grid_feasible,
     random_ilp,
     random_labeled_graph,
+    reference_reduced_instance,
     small_sweep_instance,
 )
 
@@ -290,9 +291,9 @@ def test_criterion_8_reduction_safety():
     for _ in range(200):
         instance = small_sweep_instance("precolor", rng, max_n=10)
         partition = nd.compute_type_partition(instance.graph)
-        reduced = nd.reduce_independent_types(instance, partition)
-        materialized, _ = reduced.materialize()
-        if nd.oracle_precolor(instance)[0] != nd.oracle_precolor(materialized)[0]:
+        frozen = nd.reduce_independent_types(instance, partition)
+        reduced = reference_reduced_instance(instance, partition, frozen)
+        if nd.oracle_precolor(instance)[0] != nd.oracle_precolor(reduced)[0]:
             disagreements += 1
     ok = disagreements == 0
     _report(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 from ndsolve import (
@@ -20,55 +21,62 @@ from ndsolve.precolor import (
     maximal_independent_supersets,
 )
 from ndsolve.generate import random_instance, random_template
-from helpers import small_sweep_instance
+from helpers import reference_reduced_instance, small_sweep_instance
 
 C4_EDGES = [(0, 1), (0, 3), (2, 1), (2, 3)]  # = K_{2,2}, types {0,2} and {1,3}
 
 
 def _reduced(inst):
+    """The frozen types, the partition and the type graph of ``inst``."""
     partition = compute_type_partition(inst.graph)
-    return reduce_independent_types(inst, partition), build_type_graph(
-        inst.graph, partition
-    )
+    frozen = reduce_independent_types(inst, partition)
+    return frozen, partition, build_type_graph(inst.graph, partition)
+
+
+def _fan(pinned, budget):
+    # independent leaf class {0..5}, all joined to the hub 6
+    fan = Graph.from_edges(7, [(v, 6) for v in range(6)])
+    return PrecolorInstance(fan, pinned, budget)
 
 
 def test_reduction_extends_pinned_color_over_independent_type():
-    # independent type {0,1,2}, all joined to 3; vertex 0 pinned to color 5
-    g = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
-    inst = PrecolorInstance(g, {0: 5}, 5)
-    reduced, _ = _reduced(inst)
-    assert reduced.precolor[1] == 5 and reduced.precolor[2] == 5
-    t = reduced.partition.type_of[0]
-    assert t in reduced.frozen_types
-    assert not reduced.collapsed
+    # a pinned leaf freezes its class, and every open leaf takes its color
+    inst = _fan({0: 4, 3: 2}, 4)
+    frozen, partition, _ = _reduced(inst)
+    assert frozen == {partition.type_of[0]}
+    colors = solve_precolor(inst).witness.colors
+    assert colors[:6] == (4, 2, 2, 2, 2, 2)  # the lowest pinned color
+    assert colors[6] not in (2, 4)
 
 
 def test_reduction_collapses_uncolored_independent_type():
-    g = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
-    inst = PrecolorInstance(g, {}, 2)
-    reduced, _ = _reduced(inst)
-    t = reduced.partition.type_of[0]
-    assert reduced.effective[t] == (0,)
-    assert reduced.collapsed[0] == (0, 1, 2, 3)
-    assert t in reduced.active_types
+    # with nothing pinned, the leaf class needs one color, which all share
+    inst = _fan({}, 2)
+    frozen, partition, h = _reduced(inst)
+    assert frozen == frozenset()
+    cats = compute_color_categories(inst, partition)
+    problem, _ = build_precolor_ilp(frozen, cats, h)
+    assert [c.rhs for c in problem.constraints if c.relation == "<="] == [-1, -1]
+    colors = solve_precolor(inst).witness.colors
+    assert len(set(colors[:6])) == 1 and colors[6] != colors[0]
 
 
 def test_reduction_leaves_clique_types_alone():
     inst = PrecolorInstance(complete_graph(4), {0: 1, 1: 2}, 4)
-    reduced, _ = _reduced(inst)
-    assert reduced.precolor == {0: 1, 1: 2}
-    assert not reduced.collapsed
-    assert reduced.frozen_types == frozenset()
-    assert reduced.effective[0] == (0, 1, 2, 3)
+    frozen, _, _ = _reduced(inst)
+    assert frozen == frozenset()
+    assert solve_precolor(inst).witness.colors == (1, 2, 3, 4)
 
 
-def test_materialize_round_trip_sizes():
-    g = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (3, 4)])
-    inst = PrecolorInstance(g, {}, 2)
-    reduced, _ = _reduced(inst)
-    small, kept = reduced.materialize()
-    assert small.graph.n == 2  # representative leaf + the hub
-    assert len(kept) == 2
+def test_reduction_reads_only_the_pinned_vertices():
+    # a type table holding only the pinned vertices and no class lists
+    # gives the same frozen set as the full partition
+    inst = _fan({2: 1}, 3)
+    partition = compute_type_partition(inst.graph)
+    pinned_only = replace(partition, type_of={2: partition.type_of[2]}, classes=None)
+    frozen = reduce_independent_types(inst, pinned_only)
+    assert frozen == reduce_independent_types(inst, partition)
+    assert frozen == {partition.type_of[2]}
 
 
 def test_categories_no_precoloring():
@@ -76,8 +84,7 @@ def test_categories_no_precoloring():
     # a budget below n lists every color
     for budget, colors in ((4, (1, 2, 3)), (2, (1, 2))):
         inst = PrecolorInstance(complete_graph(3), {}, budget)
-        reduced, _ = _reduced(inst)
-        cats = compute_color_categories(reduced)
+        cats = compute_color_categories(inst, compute_type_partition(inst.graph))
         assert len(cats) == 1
         assert cats[0].type_set == frozenset()
         assert cats[0].colors == colors
@@ -86,16 +93,14 @@ def test_categories_no_precoloring():
 def test_categories_group_by_pinned_types():
     # colors 1 and 2 pinned inside the clique type; color 3 free
     inst = PrecolorInstance(complete_graph(4), {0: 1, 1: 2}, 3)
-    reduced, _ = _reduced(inst)
-    cats = compute_color_categories(reduced)
+    cats = compute_color_categories(inst, compute_type_partition(inst.graph))
     assert [c.colors for c in cats] == [(3,), (1, 2)]
     assert cats[1].type_set == frozenset({0})
 
 
 def test_categories_on_c4_with_pinned_diagonal():
     inst = PrecolorInstance(Graph.from_edges(4, C4_EDGES), {0: 1, 2: 2}, 2)
-    reduced, _ = _reduced(inst)
-    cats = compute_color_categories(reduced)
+    cats = compute_color_categories(inst, compute_type_partition(inst.graph))
     assert [(set(c.type_set), c.color_count) for c in cats] == [
         (set(), 0),
         ({0}, 2),
@@ -104,9 +109,9 @@ def test_categories_on_c4_with_pinned_diagonal():
 
 def test_ilp_k3_one_pinned_is_feasible():
     inst = PrecolorInstance(complete_graph(3), {0: 1}, 3)
-    reduced, h = _reduced(inst)
-    cats = compute_color_categories(reduced)
-    problem, subcats = build_precolor_ilp(reduced, cats, h)
+    frozen, partition, h = _reduced(inst)
+    cats = compute_color_categories(inst, partition)
+    problem, subcats = build_precolor_ilp(frozen, cats, h)
     solution = solve_feasibility(problem)
     assert solution is not None
     # all three colors occupy the single clique type
@@ -115,9 +120,9 @@ def test_ilp_k3_one_pinned_is_feasible():
 
 def test_ilp_c4_diagonal_two_colors_infeasible():
     inst = PrecolorInstance(Graph.from_edges(4, C4_EDGES), {0: 1, 2: 2}, 2)
-    reduced, h = _reduced(inst)
-    cats = compute_color_categories(reduced)
-    problem, _ = build_precolor_ilp(reduced, cats, h)
+    frozen, partition, h = _reduced(inst)
+    cats = compute_color_categories(inst, partition)
+    problem, _ = build_precolor_ilp(frozen, cats, h)
     assert solve_feasibility(problem) is None
 
 
@@ -174,14 +179,15 @@ def test_reduction_preserves_the_answer():
     for _ in range(60):
         inst = small_sweep_instance("precolor", rng, max_n=10)
         partition = compute_type_partition(inst.graph)
-        reduced = reduce_independent_types(inst, partition)
-        small, _ = reduced.materialize()
+        frozen = reduce_independent_types(inst, partition)
+        small = reference_reduced_instance(inst, partition, frozen)
         assert oracle_precolor(inst)[0] == oracle_precolor(small)[0]
 
 
 def test_active_types_are_colored_rainbow():
-    # on every active type of a yes-instance, the effective members carry
-    # pairwise distinct colors and their count equals the effective size
+    # on every class of a yes-instance: a clique carries distinct colors, a
+    # non-frozen independent class one color, and the open vertices of a
+    # frozen class the class's lowest pinned color
     rng = random.Random(1234)
     seen_yes = 0
     while seen_yes < 40:
@@ -191,10 +197,18 @@ def test_active_types_are_colored_rainbow():
             continue
         seen_yes += 1
         partition = compute_type_partition(inst.graph)
-        reduced = reduce_independent_types(inst, partition)
-        for t in reduced.active_types:
-            used = [report.witness.colors[v] for v in reduced.effective[t]]
-            assert len(set(used)) == len(used) == reduced.effective_size(t)
+        frozen = reduce_independent_types(inst, partition)
+        for t, members in enumerate(partition.classes):
+            used = [report.witness.colors[v] for v in members]
+            if partition.clique_flag[t]:
+                assert len(set(used)) == len(used)
+            elif t not in frozen:
+                assert len(set(used)) == 1
+            else:
+                low = min(inst.precolor[v] for v in members if v in inst.precolor)
+                for v in members:
+                    if v not in inst.precolor:
+                        assert report.witness.colors[v] == low
 
 
 def _brute_maximal(h, base, addable):
@@ -215,9 +229,9 @@ def test_subcategory_type_sets_are_independent_in_h():
     rng = random.Random(1100)
     for _ in range(40):
         inst = small_sweep_instance("precolor", rng)
-        reduced, h = _reduced(inst)
-        cats = compute_color_categories(reduced)
-        _, subcats = build_precolor_ilp(reduced, cats, h)
+        frozen, partition, h = _reduced(inst)
+        cats = compute_color_categories(inst, partition)
+        _, subcats = build_precolor_ilp(frozen, cats, h)
         for sc in subcats:
             types = sorted(sc.type_set)
             for i, a in enumerate(types):
@@ -232,7 +246,7 @@ def test_subcategory_type_sets_are_independent_in_h():
                 t
                 for t in range(h.num_types)
                 if t not in cat.type_set
-                and t not in reduced.frozen_types
+                and t not in frozen
                 and not any(h.has_edge(t, u) for u in cat.type_set)
             ]
             mine = [sc.type_set for sc in subcats if sc.category_index == ci]
@@ -294,8 +308,7 @@ def test_huge_budget_lists_at_most_n_plus_one_colors():
     # so the categories stay small however large the budget is
     inst = _matching_instance(30)
     inst = PrecolorInstance(inst.graph, inst.precolor, 10**6)
-    reduced, _ = _reduced(inst)
-    cats = compute_color_categories(reduced)
+    cats = compute_color_categories(inst, compute_type_partition(inst.graph))
     assert sum(c.color_count for c in cats) <= inst.graph.n + 1
     report = solve_precolor(inst)
     assert report.answer
@@ -304,8 +317,9 @@ def test_huge_budget_lists_at_most_n_plus_one_colors():
 
 def test_rows_follow_the_subcategories():
     # one = row per category with colors, in category order, with a 1 for
-    # each of its subcategories; then one covering row per active type, with
-    # a -1 for each subcategory containing it and minus its effective size
+    # each of its subcategories; then one covering row per non-frozen type,
+    # with a -1 for each subcategory containing it and minus its need: the
+    # size of a clique, 1 for an independent type
     rng = random.Random(707)
     for _ in range(200):
         k = rng.randint(1, 8)
@@ -320,17 +334,19 @@ def test_rows_follow_the_subcategories():
             num_colors=rng.randint(1, 6),
             precolor_fraction=rng.random(),
         )
-        reduced, h = _reduced(inst)
-        cats = compute_color_categories(reduced)
-        problem, subcats = build_precolor_ilp(reduced, cats, h)
+        frozen, partition, h = _reduced(inst)
+        cats = compute_color_categories(inst, partition)
+        problem, subcats = build_precolor_ilp(frozen, cats, h)
         dense = []
         for ci, cat in enumerate(cats):
             if cat.color_count:
                 coeffs = [1 if sc.category_index == ci else 0 for sc in subcats]
                 dense.append((coeffs, "=", cat.color_count))
-        for t in reduced.active_types:
-            coeffs = [-1 if t in sc.type_set else 0 for sc in subcats]
-            dense.append((coeffs, "<=", -reduced.effective_size(t)))
+        for t in range(h.num_types):
+            if t not in frozen:
+                coeffs = [-1 if t in sc.type_set else 0 for sc in subcats]
+                need = h.size[t] if h.clique_flag[t] else 1
+                dense.append((coeffs, "<=", -need))
         expected = [
             (tuple((j, c) for j, c in enumerate(coeffs) if c), relation, rhs)
             for coeffs, relation, rhs in dense
