@@ -13,14 +13,13 @@ from collections import Counter
 
 from ndsolve import (
     MotifInstance,
-    build_type_graph,
     compute_type_partition,
     generate_from_template,
     random_instance,
     random_template,
     solve_motif,
 )
-from ndsolve.motif import candidate_type_set, skeleton_exists
+from ndsolve.motif import color_tables, skeleton_exists
 
 # Two joined independent classes: reds on one side, greens and a blue on
 # the other.  Looking for {red, green, green}.
@@ -33,12 +32,10 @@ print("motif {r,g,g} in K_{2,3}:", "yes" if report.answer else "no")
 print("  witness vertices:", report.witness.vertices)
 print("  witness colors:", [inst.vertex_color[v] for v in report.witness.vertices])
 
-# The skeleton subroutine is exposed: it certifies one candidate class set.
-partition = compute_type_partition(g)
-type_graph = build_type_graph(g, partition)
-candidate = candidate_type_set(type_graph, (0, 1))
-skeleton = skeleton_exists(inst, partition, candidate)
-print("  skeleton over both classes:", skeleton.chosen)
+# The skeleton subroutine is exposed: given the per-class color table, it
+# picks one vertex per class of a class tuple, as {class: vertex}.
+tables = color_tables(inst, compute_type_partition(g))
+print("  skeleton over both classes:", skeleton_exists(inst, tables, (0, 1)))
 
 # Colors may repeat across classes; the matching sorts out which class
 # supplies which occurrence.  Here both classes must supply a red.

@@ -121,10 +121,8 @@ def sparse_template(num_types: int, n: int, seed: int, cap: int = 16) -> TypeTem
         raise ValueError("need at least one vertex per class")
     rng = random.Random(seed)
     small = [1 + rng.randrange(cap) for _ in range(num_types - 1)]
-    while sum(small) >= n:
+    while sum(small) >= n:  # ends by n >= num_types once every size is 1
         small = [max(1, s // 2) for s in small]
-        if sum(small) == num_types - 1 and sum(small) >= n:
-            raise ValueError("n too small for the requested class count")
     sizes = tuple([n - sum(small), *small])
     clique = tuple([False] + [rng.random() < 0.5 for _ in small])
     edges = {(i, i + 1) for i in range(num_types - 1)}

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Sequence
 
 from .graphs import Graph
 
@@ -71,16 +72,19 @@ class PathsInstance:
 
 @dataclass(frozen=True)
 class PrecolorInstance:
-    """Graph with a proper partial coloring and a color budget 1..num_colors."""
+    """Graph with a proper partial coloring and a color budget 1..num_colors.
+
+    ``precolor`` is kept as a read-only view of a private copy.
+    """
 
     graph: Graph
-    precolor: dict[int, int]
+    precolor: Mapping[int, int]
     num_colors: int
 
     def __post_init__(self):
         if self.num_colors < 1:
             raise ValueError("color budget must be positive")
-        object.__setattr__(self, "precolor", dict(self.precolor))
+        object.__setattr__(self, "precolor", MappingProxyType(dict(self.precolor)))
         for v, c in self.precolor.items():
             if not 0 <= v < self.graph.n:
                 raise ValueError(f"precolored vertex {v} out of range")

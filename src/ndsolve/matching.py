@@ -1,9 +1,9 @@
 """Maximum bipartite matching by one augmenting-path search per left node.
 
 The solvers match tiny graphs: :func:`ndsolve.motif.skeleton_exists`, the
-only caller, puts at most |M| candidate types on the right and at most |M|
-motif color occurrences on the left, since each color is repeated at most
-min(count, number of types) times.  At that size the plain O(V * E)
+only caller, puts the types of one tuple (at most |M| of them) on the right
+and at most |M| motif color occurrences on the left, since each color is
+repeated at most min(count, number of types) times.  At that size the plain O(V * E)
 augmenting-path method (Kuhn's algorithm) is as fast as Hopcroft-Karp's
 layered phases and much shorter.  The search runs on an explicit stack, so
 a long augmenting path never hits the recursion limit.

@@ -1,30 +1,30 @@
 """Exact graph-motif search driven by the type decomposition.
 
 A solution occupying a set of type classes forces that set to induce a
-connected piece of the type graph, and conversely any connected candidate
-set supports a solution iff (a) the motif fits inside the candidate's
-combined color pool and (b) a "skeleton" exists: one vertex per candidate
-type, colors drawn from the motif.  Because classes are fully joined or
-fully separated, a skeleton spanning a connected candidate is itself
-connected, and every further vertex from a candidate type attaches to it;
-missing colors can therefore be added greedily.  Skeleton existence is a
-bipartite matching between motif color occurrences and candidate types.
+connected piece of the type graph, and conversely any connected type set
+supports a solution iff (a) the motif fits inside the set's combined color
+pool and (b) a "skeleton" exists: one vertex per type of the set, colors
+drawn from the motif.  Because classes are fully joined or fully
+separated, a skeleton spanning a connected type set is itself connected,
+and every further vertex from one of its types attaches to it; missing
+colors can therefore be added greedily.  Skeleton existence is a bipartite
+matching between motif color occurrences and the set's types.
 
 A skeleton spends a distinct motif occurrence on each type, so a feasible
-candidate has at most |M| types and each of them holds a motif color.
-The solver therefore never looks at other sets: `connected_type_sets`
-grows exactly the connected sets of at most |M| motif-colored types.
-Each set is grown from its lowest type, depth first, adding neighbours in
-ascending id order, and a yes answer reports the witness of the first
-feasible set in that order.
+set has at most |M| types and each of them holds a motif color.  The
+solver therefore never looks at other sets: `connected_type_sets` grows
+exactly the connected sets of at most |M| motif-colored types, as sorted
+tuples of type ids, and the pool test, the skeleton and the extension all
+read one per-type color table (`color_tables`).  Each set is grown from
+its lowest type, depth first, adding neighbours in ascending id order, and
+a yes answer reports the witness of the first feasible set in that order.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .decomposition import (
     TypeGraph,
@@ -48,14 +48,6 @@ class CandidateTypeSet:
 
     types: tuple[int, ...]
     connected: bool
-
-
-@dataclass(frozen=True)
-class Skeleton:
-    """One chosen vertex per candidate type; colors form a sub-multiset of
-    the motif and the chosen vertices induce a connected subgraph."""
-
-    chosen: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -126,40 +118,33 @@ def connected_type_sets(
             stack.append([chosen, frontier, banned])
 
 
-def _color_tables(
+def color_tables(
     instance: MotifInstance, partition: TypePartition
-) -> tuple[list[dict[int, list[int]]], list[Counter]]:
-    """Per type: color -> member vertices (ascending), and a color Counter."""
-    vertices_by_color: list[dict[int, list[int]]] = []
-    counts: list[Counter] = []
+) -> list[dict[int, list[int]]]:
+    """Per type: color -> the type's members of that color, ascending."""
+    tables: list[dict[int, list[int]]] = []
     for members in partition.classes:
         table: dict[int, list[int]] = {}
         for v in members:
             table.setdefault(instance.vertex_color[v], []).append(v)
-        vertices_by_color.append(table)
-        counts.append(Counter({c: len(vs) for c, vs in table.items()}))
-    return vertices_by_color, counts
+        tables.append(table)
+    return tables
 
 
 def skeleton_exists(
     instance: MotifInstance,
-    partition: TypePartition,
-    candidate: CandidateTypeSet,
-    _tables: list[dict[int, list[int]]] | None = None,
-) -> Skeleton | None:
-    """Find a skeleton of the candidate set, or None.
+    tables: list[dict[int, list[int]]],
+    types: tuple[int, ...],
+) -> dict[int, int] | None:
+    """One vertex per type with colors inside the motif, as ``{type: vertex}``.
 
     Builds a bipartite graph with one node per occurrence of each motif
-    color and one node per candidate type, an edge whenever the type
-    contains the color; a skeleton exists iff a maximum matching leaves no
-    type unmatched.  Matched types take their lowest vertex of the matched
-    color, so distinct types always map to distinct concrete vertices.
-
-    Callers must have checked candidate connectivity and that the motif is
-    a sub-multiset of the candidate's color pool.
+    color and one node per type, an edge whenever the type contains the
+    color; a skeleton exists iff a maximum matching leaves no type
+    unmatched, and None is returned otherwise.  Matched types take their
+    lowest vertex of the matched color, so distinct types always map to
+    distinct concrete vertices.
     """
-    tables = _tables if _tables is not None else _color_tables(instance, partition)[0]
-    types = candidate.types
     occurrences: list[int] = []
     for color, count in sorted(instance.motif_counts().items()):
         # a matching saturating the types never uses a color more often
@@ -174,42 +159,38 @@ def skeleton_exists(
     size, match_left = max_bipartite_matching(len(occurrences), len(types), edges)
     if size < len(types):
         return None
-    chosen: dict[int, int] = {}
-    for i, j in enumerate(match_left):
-        if j >= 0:
-            chosen[types[j]] = tables[types[j]][occurrences[i]][0]
-    # fully-joined classes make any one-vertex-per-type pick across a
-    # connected candidate connected
-    assert not candidate.connected or induced_connected(
-        instance.graph, chosen.values()
-    )
-    return Skeleton(chosen)
+    return {
+        types[j]: tables[types[j]][occurrences[i]][0]
+        for i, j in enumerate(match_left)
+        if j >= 0
+    }
 
 
 def extend_skeleton(
     instance: MotifInstance,
-    partition: TypePartition,
-    candidate: CandidateTypeSet,
-    skeleton: Skeleton,
+    tables: list[dict[int, list[int]]],
+    types: tuple[int, ...],
+    chosen: dict[int, int],
 ) -> MotifWitness:
-    """Grow the skeleton with candidate-type vertices until the colors match.
+    """Grow the skeleton ``chosen`` with vertices of ``types`` until the colors match.
 
-    Types are scanned in id order and vertices in id order, so the witness
-    is deterministic; the caller guarantees the candidate's color pool
-    covers the motif, which makes exhaustion impossible.
+    Types are scanned in the given order, and each takes its lowest
+    unpicked vertices of every color the motif still needs, so the witness
+    is deterministic; the caller guarantees the set's color pool covers the
+    motif, which makes exhaustion impossible.
     """
     need = instance.motif_counts()
-    need.subtract(instance.vertex_color[v] for v in skeleton.chosen.values())
-    picked = set(skeleton.chosen.values())
-    for t in candidate.types:
-        for v in partition.classes[t]:
-            if v in picked:
-                continue
-            color = instance.vertex_color[v]
-            if need.get(color, 0) > 0:
-                need[color] -= 1
-                picked.add(v)
-    assert not +need, "candidate color pool cannot cover the motif"
+    need.subtract(instance.vertex_color[v] for v in chosen.values())
+    picked = set(chosen.values())
+    for t in types:
+        for color, members in tables[t].items():
+            for v in members:
+                if need.get(color, 0) <= 0:
+                    break
+                if v not in picked:
+                    need[color] -= 1
+                    picked.add(v)
+    assert not +need, "type set color pool cannot cover the motif"
     return MotifWitness(tuple(sorted(picked)))
 
 
@@ -220,32 +201,35 @@ def solve_motif(instance: MotifInstance) -> SolveReport:
     type_graph = build_type_graph(instance.graph, partition)
     k = partition.num_types
 
-    tables, type_counts = _color_tables(instance, partition)
+    tables = color_tables(instance, partition)
     want = instance.motif_counts()
     size = len(instance.motif)
+
+    def short(types: Sequence[int]) -> bool:
+        """True if the types together hold fewer of some motif color than it asks."""
+        return any(
+            sum(len(tables[t].get(c, ())) for t in types) < count
+            for c, count in want.items()
+        )
+
     colored = [t for t in range(k) if any(c in tables[t] for c in want)]
-    total: Counter = Counter()
-    for t in colored:
-        total.update(type_counts[t])
     # a set's pool only grows as types join it, so if all motif-colored
     # types together fall short of some motif color, every set does
-    short = any(total[c] < count for c, count in want.items())
-    grown = () if short else connected_type_sets(type_graph, colored, size)
+    grown = () if short(colored) else connected_type_sets(type_graph, colored, size)
     witness: MotifWitness | None = None
     for types in grown:
         if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:
             # a lone independent type hosts only a one-vertex motif
             continue
-        pool: Counter = Counter()
-        for t in types:
-            pool.update(type_counts[t])
-        if any(pool[c] < count for c, count in want.items()):
+        if short(types):
             continue
-        candidate = CandidateTypeSet(types, True)
-        skeleton = skeleton_exists(instance, partition, candidate, _tables=tables)
-        if skeleton is None:
+        chosen = skeleton_exists(instance, tables, types)
+        if chosen is None:
             continue
-        witness = extend_skeleton(instance, partition, candidate, skeleton)
+        # every grown set is connected, and fully-joined classes make any
+        # one-vertex-per-type pick across a connected set connected
+        assert induced_connected(instance.graph, chosen.values())
+        witness = extend_skeleton(instance, tables, types, chosen)
         break
 
     if witness is not None:

@@ -172,7 +172,10 @@ def build_paths_ilp(
     number of terminal pairs with those endpoint types.  Capacities: per
     type, the categories routed through it sum to at most the type size
     minus its terminal vertices (terminals are fixed, named vertices; they
-    are excluded from every pool rather than double-counted).
+    are excluded from every pool rather than double-counted).  A chain uses
+    a type at most once, so the demand rows already hold the categories
+    through a type to the number of pairs; a type gets its row only when
+    its pool is smaller than that.
     """
     k = partition.num_types
     type_of = partition.type_of
@@ -194,8 +197,8 @@ def build_paths_ilp(
         row = tuple((i, 1) for i in range(first, len(categories)))
         constraints.append(LinearConstraint(row, "=", demand[(a, b)]))
     for t in range(k):
-        if through[t]:
-            capacity = type_graph.size[t] - terminals_in[t]
+        capacity = type_graph.size[t] - terminals_in[t]
+        if through[t] and capacity < len(instance.pairs):
             row = tuple((i, 1) for i in through[t])
             constraints.append(LinearConstraint(row, "<=", capacity))
     num_vars = len(categories)

@@ -20,10 +20,13 @@ from ndsolve import (
     PrecolorInstance,
     TypeGraph,
     TypePartition,
+    build_type_graph,
+    compute_type_partition,
 )
 from ndsolve.generate import TypeTemplate, random_instance, random_template
 from ndsolve.ilp import IlpProblem, LinearConstraint, at_most, equal
 from ndsolve.io import _DIRECTIVES, MAX_VERTICES, ParseError, _int, _vertex
+from ndsolve.motif import color_tables, connected_type_sets, skeleton_exists
 
 
 def literal_same_type(g: Graph, u: int, v: int) -> bool:
@@ -213,6 +216,45 @@ def small_sweep_instance(problem: str, rng: random.Random, max_n: int = 12):
         num_colors=rng.randint(1, 6),
         precolor_fraction=rng.random() * 0.6,
     )
+
+
+def reference_motif_witness(inst: MotifInstance) -> tuple[int, ...] | None:
+    """The motif witness by a per-set Counter pool test and a vertex-order
+    extension.
+
+    Takes the first set in ``connected_type_sets`` order that is not a lone
+    independent type (for a motif of two or more), whose Counter of member
+    colors covers the motif and which has a skeleton; then scans the set's
+    types in id order and their members in id order, adding each vertex
+    whose color the motif still needs.  None when no set qualifies.
+    """
+    partition = compute_type_partition(inst.graph)
+    type_graph = build_type_graph(inst.graph, partition)
+    tables = color_tables(inst, partition)
+    want = inst.motif_counts()
+    colors = [[inst.vertex_color[v] for v in members] for members in partition.classes]
+    colored = [t for t, row in enumerate(colors) if set(row) & set(want)]
+    size = len(inst.motif)
+    for types in connected_type_sets(type_graph, colored, size):
+        if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:
+            continue
+        pool = Counter(c for t in types for c in colors[t])
+        if any(pool[c] < count for c, count in want.items()):
+            continue
+        chosen = skeleton_exists(inst, tables, types)
+        if chosen is None:
+            continue
+        need = inst.motif_counts()
+        need.subtract(inst.vertex_color[v] for v in chosen.values())
+        picked = set(chosen.values())
+        for t in types:
+            for v in partition.classes[t]:
+                color = inst.vertex_color[v]
+                if v not in picked and need[color] > 0:
+                    need[color] -= 1
+                    picked.add(v)
+        return tuple(sorted(picked))
+    return None
 
 
 def reference_reduced_instance(

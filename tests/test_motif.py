@@ -15,11 +15,12 @@ from ndsolve import (
 from ndsolve.generate import generate_from_template, random_instance, random_template
 from ndsolve.motif import (
     candidate_type_set,
+    color_tables,
     connected_type_sets,
     extend_skeleton,
     skeleton_exists,
 )
-from helpers import small_sweep_instance
+from helpers import reference_motif_witness, small_sweep_instance
 
 
 def test_adjacent_pair_in_triangle():
@@ -85,19 +86,15 @@ def test_skeleton_forced_matching():
     # two joined independent types, one red-only, one green-only
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     inst = MotifInstance(g, (1, 1, 2, 2), (1, 2))
-    partition, type_graph = _decomposed(inst)
-    candidate = candidate_type_set(type_graph, (0, 1))
-    skeleton = skeleton_exists(inst, partition, candidate)
-    assert skeleton is not None
-    assert skeleton.chosen == {0: 0, 1: 2}
+    partition, _ = _decomposed(inst)
+    assert skeleton_exists(inst, color_tables(inst, partition), (0, 1)) == {0: 0, 1: 2}
 
 
 def test_skeleton_unsaturated_type():
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     inst = MotifInstance(g, (1, 1, 2, 2), (1, 1))  # green type has no red
-    partition, type_graph = _decomposed(inst)
-    candidate = candidate_type_set(type_graph, (0, 1))
-    assert skeleton_exists(inst, partition, candidate) is None
+    partition, _ = _decomposed(inst)
+    assert skeleton_exists(inst, color_tables(inst, partition), (0, 1)) is None
 
 
 def exhaustive_skeleton(inst, partition, types):
@@ -116,7 +113,8 @@ def test_skeleton_agrees_with_exhaustive_search():
     rng = random.Random(404)
     for _ in range(120):
         inst = small_sweep_instance("motif", rng, max_n=10)
-        partition, type_graph = _decomposed(inst)
+        partition, _ = _decomposed(inst)
+        tables = color_tables(inst, partition)
         k = partition.num_types
         for mask in range(1, 1 << k):
             types = tuple(t for t in range(k) if mask >> t & 1)
@@ -124,29 +122,28 @@ def test_skeleton_agrees_with_exhaustive_search():
                 len(partition.classes[t]) > 5 for t in types
             ):
                 continue
-            candidate = candidate_type_set(type_graph, types)
-            got = skeleton_exists(inst, partition, candidate) is not None
+            got = skeleton_exists(inst, tables, types) is not None
             assert got == exhaustive_skeleton(inst, partition, types)
 
 
 def test_extension_is_a_no_op_when_skeleton_covers_the_motif():
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     inst = MotifInstance(g, (1, 1, 2, 2), (1, 2))
-    partition, type_graph = _decomposed(inst)
-    candidate = candidate_type_set(type_graph, (0, 1))
-    skeleton = skeleton_exists(inst, partition, candidate)
-    witness = extend_skeleton(inst, partition, candidate, skeleton)
-    assert set(witness.vertices) == set(skeleton.chosen.values())
+    partition, _ = _decomposed(inst)
+    tables = color_tables(inst, partition)
+    chosen = skeleton_exists(inst, tables, (0, 1))
+    witness = extend_skeleton(inst, tables, (0, 1), chosen)
+    assert set(witness.vertices) == set(chosen.values())
 
 
 def test_extension_fills_missing_colors():
     # clique type with two reds and a green; skeleton alone is just one vertex
     g = complete_graph(3)
     inst = MotifInstance(g, (1, 1, 2), (1, 1, 2))
-    partition, type_graph = _decomposed(inst)
-    candidate = candidate_type_set(type_graph, (0,))
-    skeleton = skeleton_exists(inst, partition, candidate)
-    witness = extend_skeleton(inst, partition, candidate, skeleton)
+    partition, _ = _decomposed(inst)
+    tables = color_tables(inst, partition)
+    chosen = skeleton_exists(inst, tables, (0,))
+    witness = extend_skeleton(inst, tables, (0,), chosen)
     assert witness.vertices == (0, 1, 2)
     validate_motif_witness(inst, witness.vertices)
 
@@ -185,6 +182,37 @@ def test_connected_type_sets_are_exactly_the_small_connected_sets():
             ):
                 want.add(types)
         assert set(got) == want
+
+
+def test_witness_matches_the_vertex_order_reference():
+    """The witness is the reference's: the first feasible set in growth
+    order, extended vertex by vertex in type and id order."""
+    rng = random.Random(1313)
+    instances = [small_sweep_instance("motif", rng) for _ in range(1000)]
+    for _ in range(300):
+        k = rng.randint(2, 8)
+        n = rng.randint(k, 30)
+        template = random_template(
+            k, n, rng.getrandbits(32), edge_prob=rng.random(), clique_prob=rng.random()
+        )
+        instances.append(
+            random_instance(
+                "motif",
+                template,
+                rng.getrandbits(32),
+                colors=rng.randint(1, 4),
+                motif_size=rng.randint(1, min(10, n)),
+            )
+        )
+    yes = 0
+    for inst in instances:
+        report = solve_motif(inst)
+        want = reference_motif_witness(inst)
+        assert report.answer == (want is not None)
+        if want is not None:
+            yes += 1
+            assert report.witness.vertices == want
+    assert 300 < yes < len(instances)
 
 
 def test_agrees_with_oracle_on_random_instances():

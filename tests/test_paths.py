@@ -244,8 +244,9 @@ def test_reconstruction_determinism():
 
 
 def test_capacity_rows_follow_the_chains():
-    # one <= row per type some chain passes, in type order, with a 1 for each
-    # category through it and the type's non-terminal vertex count
+    # one <= row per type some chain passes whose non-terminal vertex count
+    # is below the number of pairs, in type order, with a 1 for each
+    # category through it and that count
     rng = random.Random(606)
     for _ in range(200):
         k = rng.randint(1, 8)
@@ -261,8 +262,26 @@ def test_capacity_rows_follow_the_chains():
         expected = []
         for t in range(partition.num_types):
             terms = tuple((i, 1) for i, cat in enumerate(categories) if t in cat.chain)
-            if terms:
-                terminals = sum(partition.type_of[v] == t for v in inst.terminals())
-                expected.append((terms, type_graph.size[t] - terminals))
+            terminals = sum(partition.type_of[v] == t for v in inst.terminals())
+            capacity = type_graph.size[t] - terminals
+            if terms and capacity < len(inst.pairs):
+                expected.append((terms, capacity))
         rows = [(c.terms, c.rhs) for c in problem.constraints if c.relation == "<="]
         assert rows == expected
+
+
+def test_free_type_gets_no_capacity_row():
+    # four terminals in one independent class (type 0), fully joined to a
+    # middle class (type 1) that both pairs must cross: with three vertices
+    # it can never fill up and gets no row; with one it binds at 1 and the
+    # answer is no
+    for middle, rows, answer in ((3, [], True), (1, [(((0, 1),), 1)], False)):
+        edges = [(u, m) for u in range(4) for m in range(4, 4 + middle)]
+        inst = PathsInstance(Graph.from_edges(4 + middle, edges), ((0, 2), (1, 3)))
+        partition, type_graph = _decomposed(inst.graph)
+        problem, categories = build_paths_ilp(inst, partition, type_graph)
+        assert [cat.chain for cat in categories] == [(1,)]
+        assert [
+            (c.terms, c.rhs) for c in problem.constraints if c.relation == "<="
+        ] == rows
+        assert solve_paths(inst).answer == answer

@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 from itertools import combinations
 
+import pytest
+
 from ndsolve import (
     Graph,
     PrecolorInstance,
@@ -9,6 +11,7 @@ from ndsolve import (
     complete_graph,
     compute_type_partition,
     oracle_precolor,
+    path_graph,
     reduce_independent_types,
     solve_precolor,
     validate_coloring_witness,
@@ -158,6 +161,19 @@ def test_fully_precolored_instance():
     report = solve_precolor(inst)
     assert report.answer
     assert report.witness.colors == (1, 2, 3)
+
+
+def test_precoloring_is_read_only():
+    pins = {0: 1}
+    inst = PrecolorInstance(path_graph(3), pins, 2)
+    pins[1] = 1  # the instance keeps its own copy
+    with pytest.raises(TypeError):
+        inst.precolor[1] = 1
+    assert inst.precolor == {0: 1}
+    assert inst == PrecolorInstance(path_graph(3), {0: 1}, 2)
+    wider = replace(inst, num_colors=3)
+    assert wider.precolor == {0: 1} and wider.num_colors == 3
+    assert solve_precolor(inst).answer
 
 
 def test_agrees_with_oracle_on_random_instances():
