@@ -6,12 +6,23 @@ lines, of which a file may hold at most one family.  ``#`` starts a comment;
 a bare graph file is valid.  Vertex ids are 0-based in memory.  A header may
 declare at most :data:`MAX_VERTICES` vertices, and the color budget and the
 motif's total count are held to the same limit.
+
+The text is read in slices of about :data:`_SLICE` characters.  A slice made
+only of ``e``, only of ``vcolor`` or only of ``precolor`` lines, each
+``<keyword> <number> <number>`` with single spaces, numbers in ASCII digits
+without a leading zero, and a ``\n`` end, is a run: it is split once and
+converted in bulk, and its vertex ids map straight to the parser's id
+objects.  Every other slice goes through the line loop.  Runs word no error:
+if a run meets an id above n, a family or key already taken, or repeats an
+edge (seen in the edge total at the end), or if any other error comes up,
+the whole text is parsed again by the line loop alone, and that parse words
+the error with its line number.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
+import re
+from collections import Counter, deque
 from typing import Iterator
 
 from .graphs import Graph
@@ -21,8 +32,10 @@ Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 
 # Largest vertex count a header may declare.  parse_instance allocates one
 # neighbor set and one id object per vertex as soon as it reads the header,
-# before any edge, about 0.27 KB together (tracemalloc peak, Python 3.11), so
-# the cap bounds an edgeless graph at roughly 270 MB.
+# before any edge, about 0.27 KB together (tracemalloc peak, Python 3.11).
+# The first run adds a 1-based copy of the id list: a header plus 20000 edges
+# at n = 2*10**5 peaks at 0.30 KB per vertex, so the cap bounds a sparse
+# graph at roughly 300 MB.
 # The sum of the 'motif' counts shares the cap, as the motif is held as one
 # entry per occurrence.  So does the 'colors' budget, to keep one limit on
 # every count a file declares; precoloring lists at most n + #pinned colors.
@@ -42,6 +55,13 @@ _DIRECTIVES = {
     "precolor": ("precolor", "precolor", "precolor <v> <c>", "vc"),
     "colors": ("precolor", "color budget", "colors <r>", "c"),
 }
+
+# A run: a slice of lines '<keyword> <u> <x>\n' with one keyword, where u is
+# a vertex and x a vertex or a color, both written without a sign or a
+# leading zero, so each is at least 1.
+_RUN = re.compile(
+    r"(e|vcolor|precolor) [1-9][0-9]* [1-9][0-9]*\n(?:\1 [1-9][0-9]* [1-9][0-9]*\n)*"
+)
 
 
 class ParseError(ValueError):
@@ -66,18 +86,30 @@ def _vertex(token: str, n: int, line: int) -> int:
     return v - 1
 
 
-def _slice_lines(text: str) -> Iterator[list[str]]:
-    """The lines of ``text`` as ``str.splitlines`` gives them, one list per
-    slice of about :data:`_SLICE` characters."""
+def _slices(text: str) -> Iterator[str]:
+    """``text`` in slices of about :data:`_SLICE` characters, each cut just
+    after a newline."""
     start, end = 0, len(text)
     while start < end:
         cut = text.find("\n", start + _SLICE) + 1 or end
-        yield text[start:cut].splitlines()
+        yield text[start:cut]
         start = cut
+
+
+class _Restart(Exception):
+    """A run met input that only the line loop may judge."""
 
 
 def parse_instance(text: str) -> Instance:
     """Parse instance text into a graph or an annotated problem instance."""
+    try:
+        return _parse(text, True)
+    except (_Restart, ParseError):
+        return _parse(text, False)
+
+
+def _parse(text: str, runs: bool) -> Instance:
+    """Parse ``text``, taking whole slices as runs when ``runs`` is set."""
     n: int | None = None
     neighbors: list[set[int]] | None = None  # allocated by the header
     vertex_color: dict[int, int] = {}
@@ -88,138 +120,174 @@ def parse_instance(text: str) -> Instance:
     precolor: dict[int, int] = {}
     num_colors: int | None = None
     family: str | None = None
+    one_based: list[int | None] | None = None  # one_based[v] = ids[v - 1]
+    edges = 0
+    line_no = 0
 
-    for line_no, line in enumerate(chain.from_iterable(_slice_lines(text)), 1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        keyword = tokens[0]
-
-        # Edge lines are nearly all of a large file: convert both ids
-        # inline, and let _vertex word the error when that fails.
-        if keyword == "e" and neighbors is not None:
-            if len(tokens) != 3:
-                raise ParseError("edge line must be 'e <u> <v>'", line_no)
+    for chunk in _slices(text):
+        run = runs and n is not None and _RUN.fullmatch(chunk)
+        if run:
+            if one_based is None:
+                one_based = [None, *ids]
+            keyword = run[1]
+            tokens = chunk.split()
             try:
-                u = int(tokens[1]) - 1
-                v = int(tokens[2]) - 1
-            except ValueError:
-                u = v = -1
-            if not (0 <= u < n and 0 <= v < n):
-                u = _vertex(tokens[1], n, line_no)
-                v = _vertex(tokens[2], n, line_no)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u + 1}", line_no)
-            row = neighbors[u]
-            if v in row:
-                a, b = sorted((u, v))
-                raise ParseError(f"duplicate edge ({a + 1}, {b + 1})", line_no)
-            row.add(ids[v])
-            neighbors[v].add(ids[u])
+                keys = list(map(one_based.__getitem__, map(int, tokens[1::3])))
+                values = list(map(int, tokens[2::3]))
+                if keyword == "e":
+                    values = list(map(one_based.__getitem__, values))
+            except (IndexError, ValueError):  # id above n; int() caps digits
+                raise _Restart from None
+            line_no += len(keys)
+            if keyword == "e":
+                # a self-loop or a repeated edge shows in the edge total
+                deque(map(set.add, map(neighbors.__getitem__, keys), values), 0)
+                deque(map(set.add, map(neighbors.__getitem__, values), keys), 0)
+                edges += len(keys)
+                continue
+            line_family = _DIRECTIVES[keyword][0]
+            family = family or line_family
+            target = vertex_color if keyword == "vcolor" else precolor
+            size = len(target)
+            target.update(zip(keys, values))
+            if family != line_family or len(target) != size + len(keys):
+                raise _Restart
             continue
 
-        if keyword == "p":
-            if n is not None:
-                raise ParseError("duplicate header", line_no)
-            if len(tokens) != 3 or tokens[1] != "graph":
-                raise ParseError("header must be 'p graph <n>'", line_no)
-            n = _int(tokens[2], "vertex count", line_no)
-            if n < 0:
-                raise ParseError(f"vertex count must be nonnegative: {n}", line_no)
-            if n > MAX_VERTICES:
-                raise ParseError(
-                    f"vertex count exceeds the limit {MAX_VERTICES}: {n}", line_no
-                )
-            neighbors = [set() for _ in range(n)]
-            ids = list(range(n))  # one int object per vertex for every row
-            continue
-        if n is None:
-            raise ParseError("'p graph <n>' header must come first", line_no)
+        for line_no, line in enumerate(chunk.splitlines(), line_no + 1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            tokens = line.split()
+            if not tokens:
+                continue
+            keyword = tokens[0]
 
-        spec = _DIRECTIVES.get(keyword)
-        if spec is None:
-            raise ParseError(f"unknown directive {keyword!r}", line_no)
-        line_family, name, usage, kinds = spec
-        if family is None:
-            family = line_family
-        elif family != line_family:
-            raise ParseError(
-                f"'{keyword}' mixes annotation families ({line_family} after {family})",
-                line_no,
-            )
-        if len(tokens) != len(kinds) + 1:
-            raise ParseError(f"{name} line must be '{usage}'", line_no)
-        # Convert in place, inline as for edges; _vertex and _int word errors.
-        i = 0
-        for kind in kinds:
-            i += 1
-            try:
-                x = int(tokens[i])
-            except ValueError:
-                x = 0
-            if kind == "v":
-                x = x - 1 if 1 <= x <= n else _vertex(tokens[i], n, line_no)
-            elif x < 1:
-                _int(tokens[i], "color" if kind == "c" else "count", line_no)
-                what = "color" if kind == "c" else "motif count"
-                raise ParseError(f"{what} must be positive: {x}", line_no)
-            tokens[i] = x
+            # Edge lines are nearly all of a large file: convert both ids
+            # inline, and let _vertex word the error when that fails.
+            if keyword == "e" and neighbors is not None:
+                if len(tokens) != 3:
+                    raise ParseError("edge line must be 'e <u> <v>'", line_no)
+                try:
+                    u = int(tokens[1]) - 1
+                    v = int(tokens[2]) - 1
+                except ValueError:
+                    u = v = -1
+                if not (0 <= u < n and 0 <= v < n):
+                    u = _vertex(tokens[1], n, line_no)
+                    v = _vertex(tokens[2], n, line_no)
+                if u == v:
+                    raise ParseError(f"self-loop at vertex {u + 1}", line_no)
+                row = neighbors[u]
+                if v in row:
+                    a, b = sorted((u, v))
+                    raise ParseError(f"duplicate edge ({a + 1}, {b + 1})", line_no)
+                row.add(ids[v])
+                neighbors[v].add(ids[u])
+                edges += 1
+                continue
 
-        if keyword == "vcolor":
-            _, v, c = tokens
-            if v in vertex_color:
-                raise ParseError(f"duplicate color for vertex {v + 1}", line_no)
-            vertex_color[v] = c
-        elif keyword == "motif":
-            _, c, count = tokens
-            if c in motif:
-                raise ParseError(f"duplicate motif entry for color {c}", line_no)
-            motif_size += count
-            if motif_size > MAX_VERTICES:
+            if keyword == "p":
+                if n is not None:
+                    raise ParseError("duplicate header", line_no)
+                if len(tokens) != 3 or tokens[1] != "graph":
+                    raise ParseError("header must be 'p graph <n>'", line_no)
+                n = _int(tokens[2], "vertex count", line_no)
+                if n < 0:
+                    raise ParseError(f"vertex count must be nonnegative: {n}", line_no)
+                if n > MAX_VERTICES:
+                    raise ParseError(
+                        f"vertex count exceeds the limit {MAX_VERTICES}: {n}", line_no
+                    )
+                neighbors = [set() for _ in range(n)]
+                ids = list(range(n))  # one int object per vertex for every row
+                continue
+            if n is None:
+                raise ParseError("'p graph <n>' header must come first", line_no)
+
+            spec = _DIRECTIVES.get(keyword)
+            if spec is None:
+                raise ParseError(f"unknown directive {keyword!r}", line_no)
+            line_family, name, usage, kinds = spec
+            if family is None:
+                family = line_family
+            elif family != line_family:
                 raise ParseError(
-                    f"motif size exceeds the limit {MAX_VERTICES}: {motif_size}",
+                    f"'{keyword}' mixes annotation families ({line_family} after {family})",
                     line_no,
                 )
-            motif[c] = count
-        elif keyword == "pair":
-            _, s, t = tokens
-            if s == t:
-                raise ParseError(f"terminal pair repeats vertex {s + 1}", line_no)
-            if s in seen_terminals or t in seen_terminals:
-                raise ParseError("terminal vertex appears in two pairs", line_no)
-            seen_terminals.update((s, t))
-            pairs.append((s, t))
-        elif keyword == "precolor":
-            _, v, c = tokens
-            if v in precolor:
-                raise ParseError(f"duplicate precolor for vertex {v + 1}", line_no)
-            precolor[v] = c
-        else:  # colors
-            if num_colors is not None:
-                raise ParseError("duplicate 'colors' line", line_no)
-            num_colors = tokens[1]
-            if num_colors > MAX_VERTICES:
-                raise ParseError(
-                    f"color budget exceeds the limit {MAX_VERTICES}: {num_colors}",
-                    line_no,
-                )
+            if len(tokens) != len(kinds) + 1:
+                raise ParseError(f"{name} line must be '{usage}'", line_no)
+            # Convert in place, inline as for edges; _vertex and _int word errors.
+            i = 0
+            for kind in kinds:
+                i += 1
+                try:
+                    x = int(tokens[i])
+                except ValueError:
+                    x = 0
+                if kind == "v":
+                    x = x - 1 if 1 <= x <= n else _vertex(tokens[i], n, line_no)
+                elif x < 1:
+                    _int(tokens[i], "color" if kind == "c" else "count", line_no)
+                    what = "color" if kind == "c" else "motif count"
+                    raise ParseError(f"{what} must be positive: {x}", line_no)
+                tokens[i] = x
+
+            if keyword == "vcolor":
+                _, v, c = tokens
+                if v in vertex_color:
+                    raise ParseError(f"duplicate color for vertex {v + 1}", line_no)
+                vertex_color[v] = c
+            elif keyword == "motif":
+                _, c, count = tokens
+                if c in motif:
+                    raise ParseError(f"duplicate motif entry for color {c}", line_no)
+                motif_size += count
+                if motif_size > MAX_VERTICES:
+                    raise ParseError(
+                        f"motif size exceeds the limit {MAX_VERTICES}: {motif_size}",
+                        line_no,
+                    )
+                motif[c] = count
+            elif keyword == "pair":
+                _, s, t = tokens
+                if s == t:
+                    raise ParseError(f"terminal pair repeats vertex {s + 1}", line_no)
+                if s in seen_terminals or t in seen_terminals:
+                    raise ParseError("terminal vertex appears in two pairs", line_no)
+                seen_terminals.update((s, t))
+                pairs.append((s, t))
+            elif keyword == "precolor":
+                _, v, c = tokens
+                if v in precolor:
+                    raise ParseError(f"duplicate precolor for vertex {v + 1}", line_no)
+                precolor[v] = c
+            else:  # colors
+                if num_colors is not None:
+                    raise ParseError("duplicate 'colors' line", line_no)
+                num_colors = tokens[1]
+                if num_colors > MAX_VERTICES:
+                    raise ParseError(
+                        f"color budget exceeds the limit {MAX_VERTICES}: {num_colors}",
+                        line_no,
+                    )
 
     if n is None:
         raise ParseError("missing 'p graph <n>' header")
+    if one_based is not None and sum(map(len, neighbors)) != 2 * edges:
+        raise _Restart
     graph = Graph.from_neighbor_sets(neighbors)
 
     try:
         if family is None:
             return graph
         if family == "motif":
-            missing = [v for v in range(n) if v not in vertex_color]
-            if missing:
-                raise ParseError(f"vertex {missing[0] + 1} has no color")
+            if len(vertex_color) != n:
+                missing = next(v for v in range(n) if v not in vertex_color)
+                raise ParseError(f"vertex {missing + 1} has no color")
             if not motif:
                 raise ParseError("motif annotations need at least one 'motif' line")
-            colors = tuple(vertex_color[v] for v in range(n))
+            colors = tuple(map(vertex_color.__getitem__, range(n)))
             bag = tuple(c for c, count in sorted(motif.items()) for _ in range(count))
             return MotifInstance(graph, colors, bag)
         if family == "paths":

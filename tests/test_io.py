@@ -11,7 +11,7 @@ from ndsolve import (
     parse_instance,
     serialize_instance,
 )
-from ndsolve.io import _SLICE
+from ndsolve.io import _RUN, _SLICE, _slices
 from helpers import reference_parse_instance, small_sweep_instance
 
 
@@ -173,8 +173,11 @@ def test_independent_twins_share_one_row():
 
 def test_adjacency_holds_one_int_object_per_vertex():
     # ids above 256 lie outside the interpreter's cache of small ints, so
-    # every parsed token would otherwise be an object of its own
-    g = parse_instance(serialize_instance(_sparse_graph(random.Random(5), 2000, 6000)))
+    # every parsed token would otherwise be an object of its own; the text
+    # spans several slices, so most edges arrive in runs
+    text = serialize_instance(_sparse_graph(random.Random(5), 2000, 20000))
+    assert len(text) > 3 * _SLICE
+    g = parse_instance(text)
     entries = [v for row in g.adj for v in row]
     assert len({id(v) for v in entries}) == len(set(entries))
 
@@ -214,7 +217,7 @@ def test_round_trip_graph_longer_than_a_slice():
     assert parse_instance(text) == g
 
 
-_BAD_TOKENS = ("0", "x", "+2", "1_0", "-1", "1.0", "")
+_BAD_TOKENS = ("0", "x", "+2", "1_0", "-1", "1.0", "", "01", "\u0663")
 
 
 def _mutate(rng, text, n):
@@ -273,3 +276,121 @@ def test_parser_matches_the_reference_on_mutated_instances():
         if trial % 10:
             text = _mutate(rng, text, graph.n)
         assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+# Texts of several slices whose middle slices are runs of one keyword.
+_RUNS_N = 16000
+
+
+@pytest.fixture(scope="module")
+def run_texts():
+    rng = random.Random(31)
+    g = _sparse_graph(rng, _RUNS_N, 16000)
+    coloring = [0] * g.n  # greedy proper coloring, so that every pin is valid
+    for v in range(g.n):
+        used = {coloring[w] for w in g.adj[v]}
+        coloring[v] = min(c for c in range(1, len(used) + 2) if c not in used)
+    motif = MotifInstance(g, tuple(rng.randint(1, 3) for _ in range(g.n)), (1, 2))
+    pinned = PrecolorInstance(g, dict(enumerate(coloring)), max(coloring))
+    return {"motif": serialize_instance(motif), "precolor": serialize_instance(pinned)}
+
+
+def _runs(text, keyword):
+    """(first line index, line count) of each slice of text parsed as a run."""
+    found, first = [], 0
+    for chunk in _slices(text):
+        count = len(chunk.splitlines())
+        run = _RUN.fullmatch(chunk)
+        if run and run[1] == keyword:
+            found.append((first, count))
+        first += count
+    return found
+
+
+def _middle(text, keyword, nth):
+    first, count = _runs(text, keyword)[nth]
+    return first + count // 2
+
+
+def _line_edit(edit):
+    """A text edit from an edit of the text's line list."""
+    def apply(text):
+        lines = text.splitlines()
+        edit(lines, text)
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+def _repeat(keyword):
+    """Copy a line of the first run into the middle of the second."""
+    def edit(lines, text):
+        lines.insert(_middle(text, keyword, 1), lines[_middle(text, keyword, 0)])
+    return _line_edit(edit)
+
+
+def _replace(keyword, new):
+    def edit(lines, text):
+        lines[_middle(text, keyword, 0)] = new
+    return _line_edit(edit)
+
+
+def _break(newline):
+    def edit(lines, text):
+        i = _middle(text, "e", 1)
+        lines[i : i + 2] = [lines[i] + newline + lines[i + 1]]
+    return _line_edit(edit)
+
+
+@_line_edit
+def _precolor_after_vcolor(lines, text):
+    """Insert exactly one slice of precolor lines right after a vcolor run."""
+    first, count = _runs(text, "vcolor")[0]
+    block, size = [], 0
+    while size <= _SLICE:
+        block.append(f"precolor {len(block) + 1} 1")
+        size += len(block[-1]) + 1
+    lines[first + count : first + count] = block
+
+
+_BAD_IDS = ("0", str(_RUNS_N + 1), "01", "+1", "1_0", "\u0663")
+_RUN_CASES = {
+    "unedited": ("motif", lambda text: text),
+    "edge repeated across runs": ("motif", _repeat("e")),
+    "edge repeated across runs, then a bad line": (
+        "motif",
+        lambda text: _repeat("e")(text) + "frob\n",
+    ),
+    "self-loop in a run": ("motif", _replace("e", "e 77 77")),
+    "edge line cut in two in a run": ("motif", _replace("e", "e 77\n78")),
+    **{
+        f"vertex id {token!r} in an edge run": ("motif", _replace("e", f"e {token} 5"))
+        for token in _BAD_IDS
+    },
+    **{
+        f"vertex id {token!r} in a vcolor run": (
+            "motif",
+            _replace("vcolor", f"vcolor {token} 2"),
+        )
+        for token in _BAD_IDS
+    },
+    "color 0 in a vcolor run": ("motif", _replace("vcolor", "vcolor 5 0")),
+    # int() refuses more than 4300 digits on Python versions that cap them
+    "color of 5000 digits in a vcolor run": (
+        "motif",
+        _replace("vcolor", "vcolor 5 " + "1" * 5000),
+    ),
+    "vcolor repeated across runs": ("motif", _repeat("vcolor")),
+    "precolor repeated across runs": ("precolor", _repeat("precolor")),
+    "precolor run after a vcolor run": ("motif", _precolor_after_vcolor),
+    "run broken by \\x0b": ("motif", _break("\x0b")),
+    "run broken by \\u2028": ("motif", _break("\u2028")),
+    "crlf": ("precolor", lambda text: text.replace("\n", "\r\n")),
+}
+
+
+@pytest.mark.parametrize("case", list(_RUN_CASES))
+def test_runs_match_the_reference(run_texts, case):
+    family, edit = _RUN_CASES[case]
+    assert len(run_texts[family]) > 3 * _SLICE
+    text = edit(run_texts[family])
+    assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
