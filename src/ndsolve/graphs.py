@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from operator import lt
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -12,8 +14,12 @@ class Graph:
     """Immutable simple graph; ``adj[v]`` is the sorted neighbor tuple of ``v``.
 
     Build through :meth:`from_edges`, which checks vertex ids, rejects
-    self-loops and duplicate edges, and symmetrizes the adjacency; or
-    through :meth:`from_neighbor_sets` from rows that are already checked.
+    self-loops and duplicate edges, and symmetrizes the adjacency; through
+    :meth:`from_neighbor_sets` from rows that are already checked; or
+    through :meth:`from_neighbor_lists` from rows that may still repeat a
+    vertex.  The first two sort every row.  :meth:`from_neighbor_lists`
+    skips the sort when every distinct row is already strictly ascending,
+    as the parser's rows are for edges written in the serializer's order.
     Vertices with equal open neighborhoods (independent twins) share one
     row tuple, so the rows take memory in proportion to the distinct
     neighborhoods.  Rows are
@@ -47,10 +53,25 @@ class Graph:
         self-loops and duplicates and added each edge to both endpoints.
         Equal rows are interned, so twins share one tuple.
         """
-        distinct: dict[tuple[int, ...], tuple[int, ...]] = {}
-        adj = tuple(
-            distinct.setdefault(row, row) for row in map(tuple, map(sorted, neighbors))
-        )
+        adj, _ = _interned(map(tuple, map(sorted, neighbors)))
+        return cls(len(adj), adj)
+
+    @classmethod
+    def from_neighbor_lists(cls, neighbors: Sequence[Sequence[int]]) -> Graph:
+        """Freeze neighbor lists, one per vertex, into sorted tuples.
+
+        The caller has checked ids and added each edge to both endpoints,
+        but a list may still repeat a vertex.  The lists are frozen and
+        interned as they are, and only the distinct rows are checked: if
+        each is strictly ascending, no row is sorted.  Otherwise every list
+        is sorted and interned again, and a distinct row that still repeats
+        a vertex (a duplicate edge or a self-loop) raises ``ValueError``.
+        """
+        adj, distinct = _interned(map(tuple, neighbors))
+        if not all(map(_ascending, distinct)):
+            adj, distinct = _interned(map(tuple, map(sorted, neighbors)))
+            if not all(map(_ascending, distinct)):
+                raise ValueError("a neighbor row repeats a vertex")
         return cls(len(adj), adj)
 
     @property
@@ -69,6 +90,21 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
+
+
+_Row = tuple[int, ...]
+
+
+def _interned(rows: Iterable[_Row]) -> tuple[tuple[_Row, ...], Collection[_Row]]:
+    """The rows as one tuple in which equal rows are one object, and the
+    distinct rows."""
+    distinct: dict[_Row, _Row] = {}
+    return tuple(distinct.setdefault(row, row) for row in rows), distinct
+
+
+def _ascending(row: _Row) -> bool:
+    """True iff ``row`` is strictly ascending, so it repeats no vertex."""
+    return all(map(lt, row, islice(row, 1, None)))
 
 
 def complete_graph(n: int) -> Graph:

@@ -32,11 +32,11 @@ class MotifInstance:
     def __post_init__(self):
         if len(self.vertex_color) != self.graph.n:
             raise ValueError("every vertex needs exactly one color")
-        if any(c < 1 for c in self.vertex_color):
+        if min(self.vertex_color, default=1) < 1:
             raise ValueError("vertex colors must be positive integers")
         if not self.motif:
             raise ValueError("motif must be nonempty")
-        if any(c < 1 for c in self.motif):
+        if min(self.motif) < 1:
             raise ValueError("motif colors must be positive integers")
         object.__setattr__(self, "vertex_color", tuple(self.vertex_color))
         object.__setattr__(self, "motif", tuple(sorted(self.motif)))
@@ -182,9 +182,10 @@ def validate_coloring_witness(
     g = instance.graph
     if len(colors) != g.n:
         raise ValueError("coloring must assign a color to every vertex")
-    for v, c in enumerate(colors):
-        if not 1 <= c <= instance.num_colors:
-            raise ValueError(f"vertex {v} colored outside 1..{instance.num_colors}")
+    top = instance.num_colors
+    if g.n and not (min(colors) >= 1 and max(colors) <= top):
+        v = next(v for v, c in enumerate(colors) if not 1 <= c <= top)
+        raise ValueError(f"vertex {v} colored outside 1..{top}")
     for v, c in instance.precolor.items():
         if colors[v] != c:
             raise ValueError(f"coloring does not keep precolor of vertex {v}")

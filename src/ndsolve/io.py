@@ -10,17 +10,27 @@ motif's total count are held to the same limit.
 The text is read in slices of about :data:`_SLICE` characters.  A slice made
 only of ``e``, only of ``vcolor`` or only of ``precolor`` lines, each
 ``<keyword> <number> <number>`` with single spaces, numbers in ASCII digits
-without a leading zero, and a ``\n`` end, is a run: it is split once and
-converted in bulk, and its vertex ids map straight to the parser's id
-objects.  Every other slice goes through the line loop.  Runs word no error:
-if a run meets an id above n, a family or key already taken, or repeats an
-edge (seen in the edge total at the end), or if any other error comes up,
-the whole text is parsed again by the line loop alone, and that parse words
-the error with its line number.
+without a leading zero, and a ``\n`` end, is a run: with the keywords
+dropped and every separator made a comma it is a JSON array, read by one
+``json.loads`` (JSON reads such numbers exactly as ``int`` does), and its
+vertex ids map straight to the parser's id objects.  Every other slice goes
+through the line loop.
+
+This first pass keeps each vertex's neighbors as a list, in input order,
+with no test for a repeated edge.  Edges written in the serializer's order
+leave every row ascending, and then the graph is built without a sort;
+:meth:`Graph.from_neighbor_lists` sorts the rows only if a distinct row is
+out of order, and a row that then repeats a vertex marks a repeated edge or
+a self-loop.  Runs word no error: if a run meets an id above n, a family or
+key already taken, or a row repeats a vertex, or if any other error comes
+up, the whole text is parsed again by the line loop alone, with neighbor
+sets and a test per edge, and that parse words the error with its line
+number.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter, deque
 from typing import Iterator
@@ -31,11 +41,13 @@ from .instances import MotifInstance, PathsInstance, PrecolorInstance
 Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 
 # Largest vertex count a header may declare.  parse_instance allocates one
-# neighbor set and one id object per vertex as soon as it reads the header,
-# before any edge, about 0.27 KB together (tracemalloc peak, Python 3.11).
+# neighbor list and one id object per vertex as soon as it reads the header,
+# before any edge, about 0.11 KB together (tracemalloc peak, Python 3.11).
 # The first run adds a 1-based copy of the id list: a header plus 20000 edges
-# at n = 2*10**5 peaks at 0.30 KB per vertex, so the cap bounds a sparse
-# graph at roughly 300 MB.
+# at n = 2*10**5 peaks at 0.14 KB per vertex, so the cap bounds a sparse
+# graph at roughly 140 MB.  A text read again to word its error holds
+# neighbor sets instead, about 0.27 KB per vertex, once the first pass's
+# rows are freed.
 # The sum of the 'motif' counts shares the cap, as the motif is held as one
 # entry per occurrence.  So does the 'colors' budget, to keep one limit on
 # every count a file declares; precoloring lists at most n + #pinned colors.
@@ -105,13 +117,15 @@ def parse_instance(text: str) -> Instance:
     try:
         return _parse(text, True)
     except (_Restart, ParseError):
-        return _parse(text, False)
+        pass  # leave the handler first, so the failed pass's rows are freed
+    return _parse(text, False)
 
 
 def _parse(text: str, runs: bool) -> Instance:
     """Parse ``text``, taking whole slices as runs when ``runs`` is set."""
     n: int | None = None
-    neighbors: list[set[int]] | None = None  # allocated by the header
+    # allocated by the header: lists in the run pass, sets in the strict one
+    neighbors: list[list[int]] | list[set[int]] | None = None
     vertex_color: dict[int, int] = {}
     motif: dict[int, int] = {}
     motif_size = 0
@@ -121,7 +135,6 @@ def _parse(text: str, runs: bool) -> Instance:
     num_colors: int | None = None
     family: str | None = None
     one_based: list[int | None] | None = None  # one_based[v] = ids[v - 1]
-    edges = 0
     line_no = 0
 
     for chunk in _slices(text):
@@ -130,20 +143,24 @@ def _parse(text: str, runs: bool) -> Instance:
             if one_based is None:
                 one_based = [None, *ids]
             keyword = run[1]
-            tokens = chunk.split()
+            # '<kw> 1 2\n<kw> 3 4\n' -> '[1,2,3,4\n]'
+            body = chunk[len(keyword) + 1 :].replace(f"\n{keyword} ", ",")
             try:
-                keys = list(map(one_based.__getitem__, map(int, tokens[1::3])))
-                values = list(map(int, tokens[2::3]))
+                numbers = json.loads(f"[{body.replace(' ', ',')}]")
+                keys = list(map(one_based.__getitem__, numbers[0::2]))
+                values = numbers[1::2]
                 if keyword == "e":
                     values = list(map(one_based.__getitem__, values))
-            except (IndexError, ValueError):  # id above n; int() caps digits
+            except (IndexError, ValueError):  # id above n; json caps digits
                 raise _Restart from None
             line_no += len(keys)
             if keyword == "e":
-                # a self-loop or a repeated edge shows in the edge total
-                deque(map(set.add, map(neighbors.__getitem__, keys), values), 0)
-                deque(map(set.add, map(neighbors.__getitem__, values), keys), 0)
-                edges += len(keys)
+                # v's row takes u before u's row takes v: with edges in the
+                # serializer's order (u < v, ascending) every row then gets
+                # its smaller neighbors first and stays ascending.  Repeated
+                # edges and self-loops are left to Graph.from_neighbor_lists.
+                deque(map(list.append, map(neighbors.__getitem__, values), keys), 0)
+                deque(map(list.append, map(neighbors.__getitem__, keys), values), 0)
                 continue
             line_family = _DIRECTIVES[keyword][0]
             family = family or line_family
@@ -177,13 +194,16 @@ def _parse(text: str, runs: bool) -> Instance:
                     v = _vertex(tokens[2], n, line_no)
                 if u == v:
                     raise ParseError(f"self-loop at vertex {u + 1}", line_no)
+                if runs:  # Graph.from_neighbor_lists finds a repeated edge
+                    neighbors[u].append(ids[v])
+                    neighbors[v].append(ids[u])
+                    continue
                 row = neighbors[u]
                 if v in row:
                     a, b = sorted((u, v))
                     raise ParseError(f"duplicate edge ({a + 1}, {b + 1})", line_no)
                 row.add(ids[v])
                 neighbors[v].add(ids[u])
-                edges += 1
                 continue
 
             if keyword == "p":
@@ -198,7 +218,10 @@ def _parse(text: str, runs: bool) -> Instance:
                     raise ParseError(
                         f"vertex count exceeds the limit {MAX_VERTICES}: {n}", line_no
                     )
-                neighbors = [set() for _ in range(n)]
+                if runs:
+                    neighbors = [[] for _ in range(n)]
+                else:
+                    neighbors = [set() for _ in range(n)]
                 ids = list(range(n))  # one int object per vertex for every row
                 continue
             if n is None:
@@ -274,9 +297,13 @@ def _parse(text: str, runs: bool) -> Instance:
 
     if n is None:
         raise ParseError("missing 'p graph <n>' header")
-    if one_based is not None and sum(map(len, neighbors)) != 2 * edges:
-        raise _Restart
-    graph = Graph.from_neighbor_sets(neighbors)
+    if runs:
+        try:
+            graph = Graph.from_neighbor_lists(neighbors)
+        except ValueError:  # a repeated edge or a self-loop
+            raise _Restart from None
+    else:
+        graph = Graph.from_neighbor_sets(neighbors)
 
     try:
         if family is None:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ndsolve import (
@@ -7,8 +9,11 @@ from ndsolve import (
     PrecolorInstance,
     complete_bipartite,
     complete_graph,
+    parse_instance,
     path_graph,
+    serialize_instance,
 )
+from ndsolve.generate import generate_from_template, random_template
 
 
 def test_from_edges_builds_sorted_symmetric_adjacency():
@@ -27,6 +32,38 @@ def test_independent_twins_share_one_row_from_edges():
     assert g.adj[0] is not g.adj[2]
     # twins in a clique differ in their open neighborhoods
     assert complete_graph(3).adj == ((1, 2), (0, 2), (0, 1))
+
+
+def test_from_neighbor_lists_sorts_only_when_a_row_needs_it():
+    # rows in ascending order are kept as they are, equal ones interned
+    g = Graph.from_neighbor_lists([[2, 3], [2, 3], [0, 1], [0, 1]])
+    assert g.adj == ((2, 3), (2, 3), (0, 1), (0, 1))
+    assert g.adj[0] is g.adj[1] and g.adj[2] is g.adj[3]
+    # one unsorted twin row sorts every row, and the twins still share one
+    g = Graph.from_neighbor_lists([[2, 3], [3, 2], [0, 1], [1, 0]])
+    assert g.adj == ((2, 3), (2, 3), (0, 1), (0, 1))
+    assert g.adj[0] is g.adj[1] and g.adj[2] is g.adj[3]
+    # a repeated vertex is a self-loop or a duplicate edge, sorted or not
+    for rows in ([[0, 0]], [[1, 1], [0, 0]], [[1, 2, 1], [0, 0], [0]]):
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            Graph.from_neighbor_lists(rows)
+
+
+def test_parsed_graph_equals_the_graph_from_edges():
+    rng = random.Random(41)
+    for trial in range(60):
+        if trial % 2:
+            template = random_template(rng.randint(1, 8), rng.randint(8, 60), trial)
+            g = generate_from_template(template, trial)
+        else:  # a few span several slices of the parser, so runs come in
+            n = rng.randint(2, 5000 if trial % 10 == 0 else 40)
+            edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}
+            g = Graph.from_edges(n, edges)
+        parsed = parse_instance(serialize_instance(g))
+        assert parsed.adj == g.adj
+        first = {}
+        for row in parsed.adj:
+            assert first.setdefault(row, row) is row  # twins share one row
 
 
 def test_from_edges_rejects_bad_input():
@@ -56,8 +93,11 @@ def test_motif_instance_validation():
         MotifInstance(g, (1, 2), (1,))
     with pytest.raises(ValueError, match="nonempty"):
         MotifInstance(g, (1, 2, 1), ())
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="vertex colors must be positive"):
         MotifInstance(g, (1, 0, 1), (1,))
+    with pytest.raises(ValueError, match="motif colors must be positive"):
+        MotifInstance(g, (1, 2, 1), (2, -1))
+    assert MotifInstance(Graph.from_edges(0, []), (), (1,)).vertex_color == ()
 
 
 def test_paths_instance_validation():

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -8,10 +10,11 @@ from ndsolve import (
     ParseError,
     PathsInstance,
     PrecolorInstance,
+    complete_bipartite,
     parse_instance,
     serialize_instance,
 )
-from ndsolve.io import _RUN, _SLICE, _slices
+from ndsolve.io import _RUN, _SLICE, _parse, _slices
 from helpers import reference_parse_instance, small_sweep_instance
 
 
@@ -341,6 +344,35 @@ def _break(newline):
     return _line_edit(edit)
 
 
+def _edge_lines(edit):
+    """A text edit from an edit of the list of edge lines, which it puts
+    back in the edge lines' places."""
+    def apply(lines, text):
+        at = [i for i, line in enumerate(lines) if line.startswith("e ")]
+        edges = [lines[i] for i in at]
+        edit(edges)
+        for i, line in zip(at, edges):
+            lines[i] = line
+    return _line_edit(apply)
+
+
+@_edge_lines
+def _shuffle_edges(edges):
+    random.Random(37).shuffle(edges)
+
+
+@_edge_lines
+def _reverse_edges(edges):
+    edges[:] = ["e {2} {1}".format(*line.split()) for line in edges]
+
+
+@_line_edit
+def _repeat_reversed_edge(lines, text):
+    """Copy a line of the first edge run, endpoints swapped, into the second."""
+    _, u, v = lines[_middle(text, "e", 0)].split()
+    lines.insert(_middle(text, "e", 1), f"e {v} {u}")
+
+
 @_line_edit
 def _precolor_after_vcolor(lines, text):
     """Insert exactly one slice of precolor lines right after a vcolor run."""
@@ -360,6 +392,9 @@ _RUN_CASES = {
         "motif",
         lambda text: _repeat("e")(text) + "frob\n",
     ),
+    "edges shuffled": ("motif", _shuffle_edges),
+    "every edge written 'e v u' with v > u": ("motif", _reverse_edges),
+    "edge repeated reversed across runs": ("motif", _repeat_reversed_edge),
     "self-loop in a run": ("motif", _replace("e", "e 77 77")),
     "edge line cut in two in a run": ("motif", _replace("e", "e 77\n78")),
     **{
@@ -394,3 +429,80 @@ def test_runs_match_the_reference(run_texts, case):
     assert len(run_texts[family]) > 3 * _SLICE
     text = edit(run_texts[family])
     assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+def test_one_unsorted_twin_row_matches_the_reference():
+    # K_{2,m}: vertices 1 and 2 are twins.  Moving the edge (2, 3) to the
+    # end leaves every row ascending except the row of vertex 2.
+    n = 8000
+    g = complete_bipartite(2, n - 2)
+    lines = serialize_instance(g).splitlines()
+    lines.remove("e 2 3")
+    text = "\n".join(lines + ["e 2 3"]) + "\n"
+    assert len(_runs(text, "e")) >= 2
+    parsed = parse_instance(text)
+    assert parsed == reference_parse_instance(text) == g
+    assert parsed.adj[0] is parsed.adj[1]
+
+
+_HUB_N = 50000
+
+
+@pytest.fixture(scope="module")
+def hub_text():
+    """A serializer text: a star around vertex 1 plus a path through the
+    leaves, so vertex 1 has degree n - 1."""
+    n = _HUB_N
+    edges = [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
+    return serialize_instance(Graph.from_edges(n, edges))
+
+
+_HUB_CASES = {
+    "duplicate edge as the last line": (
+        _line_edit(lambda lines, text: lines.append("e 7 1")),
+        "duplicate edge (1, 7)",
+    ),
+    "self-loop in the middle of a run": (
+        _line_edit(lambda lines, text: lines.insert(_middle(text, "e", -1), "e 9 9")),
+        "self-loop at vertex 9",
+    ),
+    "id above n in the middle of a run": (
+        _line_edit(
+            lambda lines, text: lines.insert(_middle(text, "e", -1), f"e 9 {_HUB_N + 1}")
+        ),
+        f"vertex id out of range 1..{_HUB_N}: {_HUB_N + 1}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_HUB_CASES))
+def test_errors_in_a_text_with_a_hub_stay_fast(hub_text, case):
+    # The strict pass tests each edge against its sets; a membership test
+    # on a list would make this text quadratic in the hub's degree.
+    edit, message = _HUB_CASES[case]
+    text = edit(hub_text)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    elapsed = time.perf_counter() - start
+    assert str(err.value) == f"line {err.value.line}: {message}"
+    assert _outcome(reference_parse_instance, text) == (str(err.value), err.value.line)
+    assert elapsed < 5  # about 0.5 s; with a list per row, 20 s or more
+
+
+def test_second_pass_does_not_hold_the_first_pass_rows():
+    # the first pass meets the self-loop, so the text is parsed twice; its
+    # neighbor lists must be freed before the second pass allocates sets
+    text = "p graph 20000\ne 5 5\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="self-loop"):
+            _parse(text, False)
+        strict = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ParseError, match="self-loop"):
+            parse_instance(text)
+        both = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert both < 1.2 * strict

@@ -369,3 +369,12 @@ def test_rows_follow_the_subcategories():
         ]
         rows = [(c.terms, c.relation, c.rhs) for c in problem.constraints]
         assert rows == expected
+
+
+def test_witness_outside_the_budget_names_its_first_vertex():
+    inst = PrecolorInstance(path_graph(4), {}, 2)
+    validate_coloring_witness(inst, (1, 2, 1, 2))
+    for colors, v, c in (((1, 2, 3, 0), 2, 3), ((1, 0, 3, 2), 1, 0), ((2, 1, 2, 7), 3, 7)):
+        with pytest.raises(ValueError, match=f"^vertex {v} colored outside 1..2$"):
+            validate_coloring_witness(inst, colors)
+    validate_coloring_witness(PrecolorInstance(Graph.from_edges(0, []), {}, 1), ())
