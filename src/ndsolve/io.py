@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect
 from collections import Counter, deque
 from typing import Iterator
 
@@ -334,25 +335,39 @@ def _parse(text: str, runs: bool) -> Instance:
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Serialize an instance so that parsing the text reproduces it."""
-    graph = instance if isinstance(instance, Graph) else instance.graph
-    lines = [f"p graph {graph.n}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
+    """Serialize an instance so that parsing the text reproduces it.
 
+    The text is written row by row.  Vertex u's edge lines come from the
+    upper half of its adjacency row, the neighbors above u found by
+    bisection, as one string per row; the annotation lines follow as one
+    string.  So no step holds an object per edge, and the edges come out
+    in ascending order, the order in which the parser sorts no row.
+
+    A :class:`PathsInstance` with no pairs is written as its bare graph,
+    which :func:`parse_instance` returns as a :class:`Graph`; the CLI and
+    the benchmark read that as 0 pairs.
+    """
+    graph = instance if isinstance(instance, Graph) else instance.graph
+    pieces = [f"p graph {graph.n}"]  # every later piece starts with a newline
+    for u, row in enumerate(graph.adj):
+        upper = row[bisect(row, u) :]
+        if upper:
+            sep = f"\ne {u + 1} "
+            pieces.append(sep + sep.join([str(v + 1) for v in upper]))
+
+    lines: list[str] = []
     if isinstance(instance, MotifInstance):
-        lines.extend(
-            f"vcolor {v + 1} {c}" for v, c in enumerate(instance.vertex_color)
-        )
-        lines.extend(
-            f"motif {c} {count}" for c, count in sorted(Counter(instance.motif).items())
-        )
+        lines += [f"\nvcolor {v} {c}" for v, c in enumerate(instance.vertex_color, 1)]
+        lines += [
+            f"\nmotif {c} {count}" for c, count in sorted(Counter(instance.motif).items())
+        ]
     elif isinstance(instance, PathsInstance):
-        lines.extend(f"pair {s + 1} {t + 1}" for s, t in instance.pairs)
+        lines += [f"\npair {s + 1} {t + 1}" for s, t in instance.pairs]
     elif isinstance(instance, PrecolorInstance):
-        lines.append(f"colors {instance.num_colors}")
-        lines.extend(
-            f"precolor {v + 1} {c}" for v, c in sorted(instance.precolor.items())
-        )
+        lines.append(f"\ncolors {instance.num_colors}")
+        lines += [f"\nprecolor {v + 1} {c}" for v, c in sorted(instance.precolor.items())]
     elif not isinstance(instance, Graph):
         raise TypeError(f"cannot serialize {type(instance).__name__}")
-    return "\n".join(lines) + "\n"
+    pieces.append("".join(lines))
+    pieces.append("\n")
+    return "".join(pieces)

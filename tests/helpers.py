@@ -506,3 +506,55 @@ def reference_parse_instance(text: str):
         raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def star_plus_path_edges(n: int) -> list[tuple[int, int]]:
+    """A star around vertex 0 plus a path through the leaves, so vertex 0
+    has degree n - 1."""
+    return [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
+
+
+def reference_from_edges(n: int, edges) -> Graph:
+    """``Graph.from_edges`` as it was before it gathered rows in lists: one
+    neighbor set per vertex and a test per edge.  Kept verbatim as the
+    reference for the differential and memory tests."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex id out of range in edge ({u}, {v})")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v in neighbors[u]:
+            raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return Graph.from_neighbor_sets(neighbors)
+
+
+def reference_serialize_instance(instance) -> str:
+    """The serializer as it was before it wrote the text row by row: one
+    line string per edge from ``Graph.edges()``.  Kept verbatim as the
+    reference for the differential and memory tests."""
+    graph = instance if isinstance(instance, Graph) else instance.graph
+    lines = [f"p graph {graph.n}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
+
+    if isinstance(instance, MotifInstance):
+        lines.extend(
+            f"vcolor {v + 1} {c}" for v, c in enumerate(instance.vertex_color)
+        )
+        lines.extend(
+            f"motif {c} {count}" for c, count in sorted(Counter(instance.motif).items())
+        )
+    elif isinstance(instance, PathsInstance):
+        lines.extend(f"pair {s + 1} {t + 1}" for s, t in instance.pairs)
+    elif isinstance(instance, PrecolorInstance):
+        lines.append(f"colors {instance.num_colors}")
+        lines.extend(
+            f"precolor {v + 1} {c}" for v, c in sorted(instance.precolor.items())
+        )
+    elif not isinstance(instance, Graph):
+        raise TypeError(f"cannot serialize {type(instance).__name__}")
+    return "\n".join(lines) + "\n"

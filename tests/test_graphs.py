@@ -14,6 +14,7 @@ from ndsolve import (
     serialize_instance,
 )
 from ndsolve.generate import generate_from_template, random_template
+from helpers import reference_from_edges
 
 
 def test_from_edges_builds_sorted_symmetric_adjacency():
@@ -39,7 +40,8 @@ def test_from_neighbor_lists_sorts_only_when_a_row_needs_it():
     g = Graph.from_neighbor_lists([[2, 3], [2, 3], [0, 1], [0, 1]])
     assert g.adj == ((2, 3), (2, 3), (0, 1), (0, 1))
     assert g.adj[0] is g.adj[1] and g.adj[2] is g.adj[3]
-    # one unsorted twin row sorts every row, and the twins still share one
+    # only the unsorted rows are sorted, and each sorted copy merges with
+    # its equal row, so the twins still share one
     g = Graph.from_neighbor_lists([[2, 3], [3, 2], [0, 1], [1, 0]])
     assert g.adj == ((2, 3), (2, 3), (0, 1), (0, 1))
     assert g.adj[0] is g.adj[1] and g.adj[2] is g.adj[3]
@@ -75,6 +77,52 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
+
+
+def _built(build, n, edges):
+    """The adjacency ``build`` makes, or the type and text of its error."""
+    try:
+        return build(n, edges).adj
+    except (TypeError, ValueError) as exc:  # the type is part of the outcome
+        return type(exc), str(exc)
+
+
+# Planted faults: each returns the item to insert, given n and the edges so far.
+_FAULTS = {
+    "self-loop": lambda rng, n, edges: (rng.randrange(n),) * 2,
+    "repeated edge": lambda rng, n, edges: rng.choice(edges),
+    "repeated edge, reversed": lambda rng, n, edges: rng.choice(edges)[::-1],
+    "id n or more": lambda rng, n, edges: (rng.randrange(n), n + rng.randrange(3)),
+    "id below 0": lambda rng, n, edges: (-rng.randint(1, 2 * n), rng.randrange(n)),
+    "not a pair": lambda rng, n, edges: rng.choice(((1,), (0, 1, 2), None, 7)),
+}
+
+
+def test_from_edges_matches_the_reference():
+    rng = random.Random(43)
+    for trial in range(900):
+        n = rng.randint(0, 300 if trial % 50 == 0 else 12)
+        edges = [
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.4
+        ]
+        if trial % 3 == 1:
+            edges.reverse()
+        elif trial % 3 == 2:
+            rng.shuffle(edges)
+        if edges and trial % 2:
+            for fault in rng.sample(list(_FAULTS), rng.randint(1, 2)):
+                edges.insert(rng.randint(0, len(edges)), _FAULTS[fault](rng, n, edges))
+        # a one-shot iterator must still word the first fault
+        given = iter(edges) if trial % 4 == 3 else edges
+        expected = _built(reference_from_edges, n, edges)
+        assert _built(Graph.from_edges, n, given) == expected
+        if isinstance(expected, tuple) and all(isinstance(r, tuple) for r in expected):
+            first = {}
+            for row in Graph.from_edges(n, edges).adj:
+                assert first.setdefault(row, row) is row  # twins share one row
 
 
 def test_builders():

@@ -11,11 +11,19 @@ from ndsolve import (
     PathsInstance,
     PrecolorInstance,
     complete_bipartite,
+    complete_graph,
     parse_instance,
     serialize_instance,
 )
 from ndsolve.io import _RUN, _SLICE, _parse, _slices
-from helpers import reference_parse_instance, small_sweep_instance
+from helpers import (
+    random_labeled_graph,
+    reference_from_edges,
+    reference_parse_instance,
+    reference_serialize_instance,
+    small_sweep_instance,
+    star_plus_path_edges,
+)
 
 
 def test_parse_bare_graph():
@@ -149,6 +157,36 @@ def test_empty_paths_instance_serializes_to_bare_graph():
     parsed = parse_instance(serialize_instance(inst))
     assert isinstance(parsed, Graph)
     assert parsed == inst.graph
+
+
+def test_serializer_matches_the_reference():
+    rng = random.Random(47)
+    empty = Graph.from_edges(0, [])
+    isolated = Graph.from_edges(6, [(1, 4)])
+    cases = [
+        empty,
+        MotifInstance(empty, (), (1,)),
+        PathsInstance(empty, ()),
+        PrecolorInstance(empty, {}, 1),
+        isolated,
+        Graph.from_edges(3, []),
+        PathsInstance(isolated, ()),  # no pairs: written as its bare graph
+        PathsInstance(isolated, ((0, 5), (2, 3))),
+        MotifInstance(isolated, (2, 1, 1, 3, 2, 1), (1, 2, 2)),
+        PrecolorInstance(isolated, {1: 2, 4: 1, 5: 2}, 3),
+        complete_graph(7),
+        PrecolorInstance(complete_graph(5), {0: 5, 3: 1}, 5),
+        complete_bipartite(2, 300),
+        random_labeled_graph(rng, 200, 0.05),
+    ]
+    for trial in range(300):
+        problem = ("graph", "motif", "paths", "precolor")[trial % 4]
+        if problem == "graph":
+            cases.append(random_labeled_graph(rng, rng.randint(0, 15), rng.random()))
+        else:
+            cases.append(small_sweep_instance(problem, rng))
+    for inst in cases:
+        assert serialize_instance(inst) == reference_serialize_instance(inst)
 
 
 def _sparse_graph(rng, n, m):
@@ -452,9 +490,7 @@ _HUB_N = 50000
 def hub_text():
     """A serializer text: a star around vertex 1 plus a path through the
     leaves, so vertex 1 has degree n - 1."""
-    n = _HUB_N
-    edges = [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
-    return serialize_instance(Graph.from_edges(n, edges))
+    return serialize_instance(Graph.from_edges(_HUB_N, star_plus_path_edges(_HUB_N)))
 
 
 _HUB_CASES = {
@@ -506,3 +542,28 @@ def test_second_pass_does_not_hold_the_first_pass_rows():
     finally:
         tracemalloc.stop()
     assert both < 1.2 * strict
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order", ["ordered", "shuffled"])
+def test_write_path_holds_no_object_per_edge(order):
+    # the set-based builder holds a set per vertex and the per-edge
+    # serializer a line string per edge; rows of lists and one string per
+    # row take well under that
+    edges = star_plus_path_edges(_HUB_N)
+    if order == "shuffled":
+        random.Random(53).shuffle(edges)
+    graph = Graph.from_edges(_HUB_N, edges)
+    lean = _traced_peak(Graph.from_edges, _HUB_N, edges)
+    assert lean <= 3 / 4 * _traced_peak(reference_from_edges, _HUB_N, edges)
+    lean = _traced_peak(serialize_instance, graph)
+    assert lean <= 2 / 3 * _traced_peak(reference_serialize_instance, graph)
