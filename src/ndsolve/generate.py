@@ -11,6 +11,7 @@ case the computed partition merges them).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -59,7 +60,11 @@ def generate_from_template(template: TypeTemplate, seed: int) -> Graph:
     """Materialize a template into a concrete graph, deterministically.
 
     Vertex ids are shuffled by the seed so class membership is not readable
-    from the id layout.
+    from the id layout.  Each vertex's row comes from its class: the
+    vertices of the classes joined to it, plus the rest of its own class
+    when that class is a clique.  The vertices of an independent class share
+    one row, and no edge list is built; the template has already ruled out
+    self-loops and repeated class edges, so no edge needs a check.
     """
     n = template.num_vertices
     rng = random.Random(seed)
@@ -72,17 +77,22 @@ def generate_from_template(template: TypeTemplate, seed: int) -> Graph:
         blocks.append(ids[offset : offset + size])
         offset += size
 
-    edges: list[tuple[int, int]] = []
+    joined: list[list[int]] = [[] for _ in blocks]
+    for a, b in template.edges:
+        joined[a] += blocks[b]
+        joined[b] += blocks[a]
+    rows: list[tuple[int, ...]] = [()] * n
     for t, block in enumerate(blocks):
         if template.clique[t]:
-            edges.extend(
-                (block[i], block[j])
-                for i in range(len(block))
-                for j in range(i + 1, len(block))
-            )
-    for a, b in template.edges:
-        edges.extend((u, v) for u in blocks[a] for v in blocks[b])
-    return Graph.from_edges(n, edges)
+            full = tuple(sorted(joined[t] + block))
+            for v in block:
+                i = bisect_left(full, v)
+                rows[v] = full[:i] + full[i + 1 :]
+        else:
+            row = tuple(sorted(joined[t]))
+            for v in block:
+                rows[v] = row
+    return Graph.from_neighbor_lists(rows)
 
 
 def random_template(

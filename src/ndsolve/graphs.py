@@ -6,24 +6,23 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 from operator import lt
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph; ``adj[v]`` is the sorted neighbor tuple of ``v``.
 
-    Three constructors, each sorting only what it must:
+    Two constructors, each sorting only what it must:
 
     - :meth:`from_edges` checks vertex ids, rejects self-loops and duplicate
       edges, and symmetrizes the adjacency.  It gathers each vertex's
       neighbors in a list and sorts every list in place.
-    - :meth:`from_neighbor_sets` takes rows that are already checked and
-      sorts every row.
-    - :meth:`from_neighbor_lists` takes rows that may still repeat a vertex.
-      It sorts only the distinct rows that are not strictly ascending, so
-      the parser's rows for edges written in the serializer's order are
-      never sorted.
+    - :meth:`from_neighbor_lists` takes rows, one per vertex, that may still
+      repeat a vertex.  It sorts only the distinct rows that are not
+      strictly ascending, so rows built in order (the parser's rows for
+      edges written in the serializer's order, a template's class rows, or
+      sets passed through ``sorted``) are never sorted again.
 
     Vertices with equal open neighborhoods (independent twins) share one
     row tuple, so the rows take memory in proportion to the distinct
@@ -60,32 +59,23 @@ class Graph:
             if not _faulty(distinct):
                 return cls(n, tuple(rows))
         del rows, distinct
-        return cls.from_neighbor_sets(_checked_neighbor_sets(n, edges))
+        return cls.from_neighbor_lists(map(sorted, _checked_neighbor_sets(n, edges)))
 
     @classmethod
-    def from_neighbor_sets(cls, neighbors: Iterable[Iterable[int]]) -> Graph:
+    def from_neighbor_lists(cls, neighbors: Iterable[Sequence[int]]) -> Graph:
         """Freeze neighbor rows, one per vertex, into sorted tuples.
 
-        The rows are taken as they are: the caller has already checked ids,
-        self-loops and duplicates and added each edge to both endpoints.
-        Equal rows are interned, so twins share one tuple.
-        """
-        adj, _ = _interned(map(tuple, map(sorted, neighbors)))
-        return cls(len(adj), adj)
-
-    @classmethod
-    def from_neighbor_lists(cls, neighbors: Sequence[Sequence[int]]) -> Graph:
-        """Freeze neighbor lists, one per vertex, into sorted tuples.
-
         The caller has checked ids and added each edge to both endpoints,
-        but a list may still repeat a vertex.  The lists are frozen and
-        interned as they are, and only the distinct rows are checked: a row
+        but a row may still repeat a vertex.  The rows are frozen and
+        interned as they are, so equal rows become one tuple (a tuple row
+        is kept, not copied), and only the distinct rows are checked: a row
         that is not strictly ascending is sorted and interned again, so its
         sorted copy merges with an equal row.  A sorted row that still
         repeats a vertex (a duplicate edge or a self-loop) raises
         ``ValueError``.
         """
-        adj, distinct = _interned(map(tuple, neighbors))
+        distinct: dict[_Row, _Row] = {}
+        adj = tuple(distinct.setdefault(row, row) for row in map(tuple, neighbors))
         sorted_rows: dict[int, _Row] = {}  # id of an unsorted row -> its sorted row
         for row in list(filterfalse(_ascending, distinct)):
             ordered = tuple(sorted(row))
@@ -115,13 +105,6 @@ class Graph:
 
 
 _Row = tuple[int, ...]
-
-
-def _interned(rows: Iterable[_Row]) -> tuple[tuple[_Row, ...], Collection[_Row]]:
-    """The rows as one tuple in which equal rows are one object, and the
-    distinct rows."""
-    distinct: dict[_Row, _Row] = {}
-    return tuple(distinct.setdefault(row, row) for row in rows), distinct
 
 
 def _checked_neighbor_sets(n: int, edges: Iterable[tuple[int, int]]) -> list[set[int]]:

@@ -304,7 +304,7 @@ def _parse(text: str, runs: bool) -> Instance:
         except ValueError:  # a repeated edge or a self-loop
             raise _Restart from None
     else:
-        graph = Graph.from_neighbor_sets(neighbors)
+        graph = Graph.from_neighbor_lists(map(sorted, neighbors))
 
     try:
         if family is None:

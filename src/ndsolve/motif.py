@@ -11,13 +11,16 @@ colors can therefore be added greedily.  Skeleton existence is a bipartite
 matching between motif color occurrences and the set's types.
 
 A skeleton spends a distinct motif occurrence on each type, so a feasible
-set has at most |M| types and each of them holds a motif color.  The
-solver therefore never looks at other sets: `connected_type_sets` grows
-exactly the connected sets of at most |M| motif-colored types, as sorted
-tuples of type ids, and the pool test, the skeleton and the extension all
-read one per-type color table (`color_tables`).  Each set is grown from
-its lowest type, depth first, adding neighbours in ascending id order, and
-a yes answer reports the witness of the first feasible set in that order.
+set has at most |M| types and each of them holds a motif color.  It also
+lies in one component of the motif-colored types (`type_components`), and
+its pool is part of that component's, so a component whose pool misses
+some motif color is skipped whole.  The solver therefore never looks at
+other sets: `connected_type_sets` grows exactly the connected sets of at
+most |M| motif-colored types in the other components, as sorted tuples of
+type ids, and the pool test, the skeleton and the extension all read one
+per-type color table (`color_tables`).  Each set is grown from its lowest
+type, depth first, adding neighbours in ascending id order, and a yes
+answer reports the witness of the first feasible set in that order.
 """
 
 from __future__ import annotations
@@ -118,6 +121,28 @@ def connected_type_sets(
             stack.append([chosen, frontier, banned])
 
 
+def type_components(type_graph: TypeGraph, types: Sequence[int]) -> list[list[int]]:
+    """The connected components of the type graph induced on ``types``.
+
+    Each component lists its types breadth first from the first of them in
+    ``types``, and the components come in that order too.
+    """
+    rest = set(types)
+    parts: list[list[int]] = []
+    for root in types:
+        if root not in rest:
+            continue
+        rest.remove(root)
+        part = [root]
+        for t in part:
+            for u in type_graph.adj[t]:
+                if u in rest:
+                    rest.remove(u)
+                    part.append(u)
+        parts.append(part)
+    return parts
+
+
 def color_tables(
     instance: MotifInstance, partition: TypePartition
 ) -> list[dict[int, list[int]]]:
@@ -213,9 +238,14 @@ def solve_motif(instance: MotifInstance) -> SolveReport:
         )
 
     colored = [t for t in range(k) if any(c in tables[t] for c in want)]
-    # a set's pool only grows as types join it, so if all motif-colored
-    # types together fall short of some motif color, every set does
-    grown = () if short(colored) else connected_type_sets(type_graph, colored, size)
+    # a connected set lies in one component of the motif-colored types, and
+    # a set's pool only grows as types join it, so a component whose types
+    # together fall short of some motif color holds no feasible set
+    kept = [
+        t for part in type_components(type_graph, colored) if not short(part)
+        for t in part
+    ]
+    grown = connected_type_sets(type_graph, kept, size) if kept else ()
     witness: MotifWitness | None = None
     for types in grown:
         if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:

@@ -127,12 +127,13 @@ def simplify_path(
 ) -> tuple[int, ...]:
     """Shrink a path until no type occurs twice among its internal vertices.
 
-    While some type has two internal occurrences, shortcut from its first
-    internal occurrence x straight to the successor z of its last internal
-    occurrence y: z neighbors y, and same-type x and y have equal
-    neighborhoods apart from each other, so z neighbors x too.  Endpoints,
-    vertex subset and validity are preserved, and the path strictly
-    shrinks, so this terminates.
+    In one pass from left to right, each kept internal vertex x jumps
+    straight to the successor z of the last internal vertex y of its type:
+    z neighbors y, and same-type x and y have equal neighborhoods apart
+    from each other, so z neighbors x too.  Endpoints, vertex subset and
+    validity are preserved, and since a kept type never recurs after its
+    jump, the result is what repeated shortcuts of the first repeated type
+    would leave.
     """
     verts = list(path)
     if len(set(verts)) != len(verts):
@@ -141,25 +142,15 @@ def simplify_path(
         if not graph.has_edge(u, v):
             raise ValueError(f"input path uses the missing edge ({u}, {v})")
     type_of = partition.type_of
-    while True:
-        internal_count = Counter(type_of[v] for v in verts[1:-1])
-        offender = next(
-            (
-                type_of[v]
-                for v in verts[1:-1]
-                if internal_count[type_of[v]] >= 2
-            ),
-            None,
-        )
-        if offender is None:
-            return tuple(verts)
-        hits = [
-            i for i in range(1, len(verts) - 1) if type_of[verts[i]] == offender
-        ]
-        x, y = hits[0], hits[-1]
-        z = y + 1
-        assert x < y and graph.has_edge(verts[x], verts[z])
-        verts = verts[: x + 1] + verts[z:]
+    last = {type_of[verts[i]]: i for i in range(1, len(verts) - 1)}
+    kept = verts[:1]
+    i = 1
+    while i < len(verts) - 1:
+        y = last[type_of[verts[i]]]
+        assert y == i or graph.has_edge(verts[i], verts[y + 1])
+        kept.append(verts[i])
+        i = y + 1
+    return tuple(kept + verts[i:])
 
 
 def build_paths_ilp(

@@ -305,31 +305,33 @@ def random_labeled_graph(rng: random.Random, n: int, p: float) -> Graph:
 def random_simple_walk(rng: random.Random, g: Graph) -> list[int] | None:
     """Some path between two random distinct vertices, or None.
 
-    Depth-first with shuffled neighbor order, so long meandering paths
-    (the interesting inputs for path simplification) are common.
+    Depth-first, each step to a random untried neighbor, so long
+    meandering paths (the interesting inputs for path simplification) are
+    common.  The search keeps its marks when it backtracks, so it enters
+    each vertex once and stays O(n + m) even when no path exists.
     """
     if g.n < 2:
         return None
     s, t = rng.sample(range(g.n), 2)
     seen = {s}
     trail = [s]
-
-    def grow(v: int) -> bool:
-        if v == t:
-            return True
-        nbrs = list(g.adj[v])
-        rng.shuffle(nbrs)
-        for w in nbrs:
-            if w not in seen:
-                seen.add(w)
-                trail.append(w)
-                if grow(w):
-                    return True
-                trail.pop()
-                seen.remove(w)
-        return False
-
-    return trail if grow(s) else None
+    untried = [list(g.adj[s])]
+    while trail[-1] != t:
+        nbrs = untried[-1]
+        if not nbrs:
+            trail.pop()
+            untried.pop()
+            if not trail:
+                return None
+            continue
+        i = rng.randrange(len(nbrs))
+        nbrs[i], nbrs[-1] = nbrs[-1], nbrs[i]
+        w = nbrs.pop()
+        if w not in seen:
+            seen.add(w)
+            trail.append(w)
+            untried.append(list(g.adj[w]))
+    return trail
 
 
 def all_labeled_graphs(n: int):
@@ -348,7 +350,8 @@ def k23_template() -> TypeTemplate:
 def reference_parse_instance(text: str):
     """The parser as it was before it walked the text in slices: one
     ``splitlines()`` of the whole text, and each edge end stored as parsed.
-    Kept verbatim as the reference for the differential parser test."""
+    Kept verbatim as the reference for the differential parser test, except
+    that it freezes and interns its sorted rows itself."""
     n: int | None = None
     neighbors: list[set[int]] | None = None  # allocated by the header
     vertex_color: dict[int, int] = {}
@@ -478,7 +481,8 @@ def reference_parse_instance(text: str):
 
     if n is None:
         raise ParseError("missing 'p graph <n>' header")
-    graph = Graph.from_neighbor_sets(neighbors)
+    rows, distinct = map(tuple, map(sorted, neighbors)), {}
+    graph = Graph(n, tuple(distinct.setdefault(row, row) for row in rows))
 
     try:
         if family is None:
@@ -517,7 +521,8 @@ def star_plus_path_edges(n: int) -> list[tuple[int, int]]:
 def reference_from_edges(n: int, edges) -> Graph:
     """``Graph.from_edges`` as it was before it gathered rows in lists: one
     neighbor set per vertex and a test per edge.  Kept verbatim as the
-    reference for the differential and memory tests."""
+    reference for the differential and memory tests, except that it freezes
+    and interns its sorted rows itself."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     neighbors: list[set[int]] = [set() for _ in range(n)]
@@ -530,7 +535,8 @@ def reference_from_edges(n: int, edges) -> Graph:
             raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
         neighbors[u].add(v)
         neighbors[v].add(u)
-    return Graph.from_neighbor_sets(neighbors)
+    rows, distinct = map(tuple, map(sorted, neighbors)), {}
+    return Graph(n, tuple(distinct.setdefault(row, row) for row in rows))
 
 
 def reference_serialize_instance(instance) -> str:
@@ -558,3 +564,66 @@ def reference_serialize_instance(instance) -> str:
     elif not isinstance(instance, Graph):
         raise TypeError(f"cannot serialize {type(instance).__name__}")
     return "\n".join(lines) + "\n"
+
+
+def reference_generate_from_template(template: TypeTemplate, seed: int) -> Graph:
+    """``generate_from_template`` as it was before it built rows from the
+    classes: one ``(u, v)`` tuple per edge through ``Graph.from_edges``.
+    Kept verbatim as the reference for the differential generator test."""
+    n = template.num_vertices
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+
+    blocks: list[list[int]] = []
+    offset = 0
+    for size in template.sizes:
+        blocks.append(ids[offset : offset + size])
+        offset += size
+
+    edges: list[tuple[int, int]] = []
+    for t, block in enumerate(blocks):
+        if template.clique[t]:
+            edges.extend(
+                (block[i], block[j])
+                for i in range(len(block))
+                for j in range(i + 1, len(block))
+            )
+    for a, b in template.edges:
+        edges.extend((u, v) for u in blocks[a] for v in blocks[b])
+    return Graph.from_edges(n, edges)
+
+
+def reference_simplify_path(
+    graph: Graph, partition: TypePartition, path
+) -> tuple[int, ...]:
+    """``simplify_path`` as it was before it ran in one pass: rebuild a
+    Counter of internal types after every shortcut and cut the first
+    repeated type from its first to its last internal occurrence.  Kept
+    verbatim as the reference for the differential simplification test."""
+    verts = list(path)
+    if len(set(verts)) != len(verts):
+        raise ValueError("input path repeats a vertex")
+    for u, v in zip(verts, verts[1:]):
+        if not graph.has_edge(u, v):
+            raise ValueError(f"input path uses the missing edge ({u}, {v})")
+    type_of = partition.type_of
+    while True:
+        internal_count = Counter(type_of[v] for v in verts[1:-1])
+        offender = next(
+            (
+                type_of[v]
+                for v in verts[1:-1]
+                if internal_count[type_of[v]] >= 2
+            ),
+            None,
+        )
+        if offender is None:
+            return tuple(verts)
+        hits = [
+            i for i in range(1, len(verts) - 1) if type_of[verts[i]] == offender
+        ]
+        x, y = hits[0], hits[-1]
+        z = y + 1
+        assert x < y and graph.has_edge(verts[x], verts[z])
+        verts = verts[: x + 1] + verts[z:]

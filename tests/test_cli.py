@@ -1,4 +1,8 @@
+import io
 import json
+import random
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -205,3 +209,53 @@ def test_bench_reports_the_largest_ilp_over_seeds():
     assert per_seed[-1] < max(per_seed)
     [row] = bench_cells("precolor", [2], [12], 3)
     assert row["ilp_vars"] == max(per_seed)
+
+
+_KEYWORDS = ("p", "graph", "e", "vcolor", "motif", "pair", "precolor", "colors")
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
+    """1-3 edits: delete, duplicate or swap lines, truncate a line, or put a
+    number in -1..99 or a keyword in place of one token."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        edit = rng.randrange(5)
+        if edit == 0:
+            del lines[i]
+        elif edit == 1:
+            lines.insert(i, lines[i])
+        elif edit == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == 3:
+            lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+        elif tokens := lines[i].split():
+            token = rng.choice((str(rng.randint(-1, 99)), rng.choice(_KEYWORDS)))
+            tokens[rng.randrange(len(tokens))] = token
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+def test_mutated_corpus_exits_with_a_documented_status(tmp_path):
+    # every run answers (0), rejects its input (2) or hits the oracle's
+    # size guard (3); none raises
+    rng = random.Random(2026)
+    statuses: Counter = Counter()
+    for corpus_file in sorted(DATA_DIR.glob("*.nd")):
+        problem = corpus_file.name.split("-")[0]
+        lines = corpus_file.read_text().splitlines()
+        for _ in range(22):
+            path = _write(tmp_path, "mutant.nd", "\n".join(_mutate(rng, lines)) + "\n")
+            for argv in (
+                [problem, "--input", path, "--check", "--json", "--witness"],
+                ["nd", "--input", path],
+                ["oracle", problem, "--input", path],
+            ):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    status = run(argv)
+                assert status in (0, 2, 3), argv
+                statuses[status] += 1
+    assert min(statuses[0], statuses[2]) > 50

@@ -13,6 +13,7 @@ from ndsolve import (
     random_template,
     sparse_template,
 )
+from helpers import reference_generate_from_template
 
 
 def test_single_clique_template_is_complete():
@@ -106,3 +107,27 @@ def test_paths_instance_has_distinct_terminals():
     t = random_template(2, 8, seed=11)
     inst = random_instance("paths", t, 11, num_pairs=3)
     assert len(set(inst.terminals())) == 6
+
+
+def _row_owners(graph):
+    """Per vertex, the lowest vertex holding the very same row object."""
+    first = {}
+    return [first.setdefault(id(row), v) for v, row in enumerate(graph.adj)]
+
+
+def test_rows_from_classes_match_the_edge_list_generator():
+    rng = random.Random(19)
+    cases = []
+    for _ in range(4000):
+        k = rng.randint(1, 10)
+        n = rng.randint(k, 40)
+        edge_prob, clique_prob = rng.random(), rng.random()
+        template = random_template(k, n, rng.getrandbits(32), edge_prob, clique_prob)
+        cases.append((template, rng.getrandbits(32)))
+    for k, n in ((6, 5000), (8, 10000), (4, 2000)):
+        cases.append((sparse_template(k, n, seed=3), 3))
+    for template, seed in cases:
+        got = generate_from_template(template, seed)
+        want = reference_generate_from_template(template, seed)
+        assert got == want
+        assert _row_owners(got) == _row_owners(want)

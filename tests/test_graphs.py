@@ -45,6 +45,11 @@ def test_from_neighbor_lists_sorts_only_when_a_row_needs_it():
     g = Graph.from_neighbor_lists([[2, 3], [3, 2], [0, 1], [1, 0]])
     assert g.adj == ((2, 3), (2, 3), (0, 1), (0, 1))
     assert g.adj[0] is g.adj[1] and g.adj[2] is g.adj[3]
+    # any iterable of rows will do, and a tuple row is kept, not copied
+    row = (1, 2)
+    g = Graph.from_neighbor_lists(iter([row, (0,), [0]]))
+    assert g.adj == ((1, 2), (0,), (0,)) and g.adj[0] is row
+    assert g.adj[1] is g.adj[2]
     # a repeated vertex is a self-loop or a duplicate edge, sorted or not
     for rows in ([[0, 0]], [[1, 1], [0, 0]], [[1, 2, 1], [0, 0], [0]]):
         with pytest.raises(ValueError, match="repeats a vertex"):

@@ -1,5 +1,8 @@
 import random
+import time
 from itertools import combinations, product
+
+import pytest
 
 from ndsolve import (
     Graph,
@@ -19,6 +22,7 @@ from ndsolve.motif import (
     connected_type_sets,
     extend_skeleton,
     skeleton_exists,
+    type_components,
 )
 from helpers import reference_motif_witness, small_sweep_instance
 
@@ -75,6 +79,50 @@ def test_absent_motif_color_answers_before_any_growth(monkeypatch):
     report = solve_motif(inst)
     assert report.nd == 24
     assert not report.answer
+
+
+def test_split_motif_color_answers_without_growth(monkeypatch):
+    # colors 1-6 on 40 template classes and one isolated vertex of color 7:
+    # the whole graph's pool covers the motif (1, ..., 7), but no component
+    # of the motif-colored types does, so no set is grown
+    graph = generate_from_template(random_template(40, 80, 0, edge_prob=0.15), 0)
+    rng = random.Random(0)
+    colors = tuple(rng.randint(1, 6) for _ in range(graph.n)) + (7,)
+    graph = Graph.from_neighbor_lists([*graph.adj, ()])
+    inst = MotifInstance(graph, colors, tuple(range(1, 8)))
+    start = time.perf_counter()
+    assert not solve_motif(inst).answer
+    assert time.perf_counter() - start < 1.0
+
+    def never(*args):
+        raise AssertionError("connected_type_sets was called")
+
+    monkeypatch.setattr("ndsolve.motif.connected_type_sets", never)
+    assert not solve_motif(inst).answer
+
+
+def test_type_components_agree_with_networkx():
+    networkx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(200):
+        k = rng.randint(1, 12)
+        template = random_template(
+            k, rng.randint(k, 3 * k), rng.getrandbits(32), edge_prob=rng.random() / 2
+        )
+        graph = generate_from_template(template, 0)
+        type_graph = build_type_graph(graph, compute_type_partition(graph))
+        k = type_graph.num_types
+        types = sorted(rng.sample(range(k), rng.randint(0, k)))
+        nx_graph = networkx.Graph()
+        nx_graph.add_nodes_from(types)
+        nx_graph.add_edges_from(
+            (a, b) for a in types for b in type_graph.adj[a] if b in types
+        )
+        parts = type_components(type_graph, types)
+        assert all(part[0] == min(part) for part in parts)
+        assert [part[0] for part in parts] == sorted(part[0] for part in parts)
+        want = sorted(sorted(c) for c in networkx.connected_components(nx_graph))
+        assert sorted(map(sorted, parts)) == want
 
 
 def _decomposed(inst):

@@ -19,7 +19,12 @@ from ndsolve import (
 )
 from ndsolve.paths import build_paths_ilp, minimal_chains
 from ndsolve.ilp import solve_feasibility
-from helpers import random_labeled_graph, random_simple_walk, small_sweep_instance
+from helpers import (
+    random_labeled_graph,
+    random_simple_walk,
+    reference_simplify_path,
+    small_sweep_instance,
+)
 
 
 def _decomposed(g):
@@ -142,6 +147,28 @@ def test_simplify_random_walks_become_simple_and_stay_valid():
         internal = Counter(partition.type_of[v] for v in out[1:-1])
         assert all(c == 1 for c in internal.values())
         done += 1
+
+
+def test_simplify_matches_the_repeated_shortcut_reference():
+    rng = random.Random(1919)
+    walks = shortcut = graphs = 0
+    while walks < 10_000:
+        graphs += 1
+        if graphs % 2:
+            g = small_sweep_instance("paths", rng).graph
+        else:
+            g = random_labeled_graph(rng, rng.randint(2, 60), rng.random())
+        partition = compute_type_partition(g)
+        for _ in range(10):
+            walk = random_simple_walk(rng, g)
+            if walk is None:
+                continue
+            for path in (walk, walk[:1], []):
+                out = simplify_path(g, partition, path)
+                assert out == reference_simplify_path(g, partition, path)
+            walks += 1
+            shortcut += len(simplify_path(g, partition, walk)) < len(walk)
+    assert shortcut > 1000
 
 
 def test_ilp_for_star_is_infeasible():
