@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -316,7 +317,9 @@ def _add_instance_args(sub) -> None:
     sub.add_argument("--precolor-fraction", type=float, default=0.35)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="ndsolve",
         description="Neighborhood-diversity decomposition and exact solvers",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .graphs import Graph
@@ -34,9 +34,7 @@ class TypePartition:
     """Coarsest partition of the vertices into same-type classes.
 
     Classes are numbered in order of their smallest member, so repeated runs
-    produce identical output.  Singleton classes carry ``clique_flag`` False
-    by convention; consumers needing "can self-connect" semantics must check
-    size >= 2 together with the flag.
+    produce identical output.  Singleton classes carry ``clique_flag`` False.
     """
 
     type_of: tuple[int, ...]
@@ -51,21 +49,40 @@ class TypeGraph:
 
     Two types are adjacent iff the original graph has every possible edge
     between their classes; intra-class structure lives in ``clique_flag``.
+    ``masks`` is derived from ``adj`` once: bit u of ``masks[t]`` is set iff
+    types t and u are adjacent, so :meth:`has_edge` and :meth:`linked` take
+    O(1) and the solvers' type-set searches read their bitmasks from here.
+    It stays out of ``repr`` and equality.
     """
 
     num_types: int
     adj: tuple[tuple[int, ...], ...]
     size: tuple[int, ...]
     clique_flag: tuple[bool, ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        masks = tuple(sum(1 << u for u in row) for row in self.adj)
+        object.__setattr__(self, "masks", masks)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self.adj[a]
+        return b >= 0 and self.masks[a] >> b & 1 == 1
 
     def linked(self, a: int, b: int) -> bool:
         """Adjacent types, or one clique type seen from itself."""
         if a == b:
             return self.clique_flag[a]
         return self.has_edge(a, b)
+
+    def component(self, root: int, within: int) -> int:
+        """Mask of ``root`` and the types it reaches through types of ``within``."""
+        seen = todo = 1 << root
+        while todo:
+            low = todo & -todo
+            grown = self.masks[low.bit_length() - 1] & within & ~seen
+            seen |= grown
+            todo ^= low | grown
+        return seen
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for a in range(self.num_types):

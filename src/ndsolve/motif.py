@@ -12,10 +12,11 @@ matching between motif color occurrences and the set's types.
 
 A skeleton spends a distinct motif occurrence on each type, so a feasible
 set has at most |M| types and each of them holds a motif color.  It also
-lies in one component of the motif-colored types (`type_components`), and
-its pool is part of that component's, so a component whose pool misses
-some motif color is skipped whole.  The solver therefore never looks at
-other sets: `connected_type_sets` grows exactly the connected sets of at
+lies in one component of the motif-colored types (`type_components`, one
+flood fill per component over the type graph's adjacency masks), and its
+pool is part of that component's, so a component whose pool misses some
+motif color is skipped whole.  The solver therefore never tests a set for
+connectivity: `connected_type_sets` grows exactly the connected sets of at
 most |M| motif-colored types in the other components, as sorted tuples of
 type ids, and the pool test, the skeleton and the extension all read one
 per-type color table (`color_tables`).  Each set is grown from its lowest
@@ -61,30 +62,15 @@ class MotifWitness:
 def candidate_type_set(type_graph: TypeGraph, types: tuple[int, ...]) -> CandidateTypeSet:
     """Wrap a type subset, computing connectivity inside the type graph.
 
-    The solver does not need this test (`connected_type_sets` yields only
-    connected sets); it stays as the independent reference for them.
+    The solver does not call this (`connected_type_sets` yields only
+    connected sets); it stays only as the tests' independent reference for
+    them and as a hook of the benchmark's tracer.
     """
     types = tuple(sorted(types))
     if not types:
         raise ValueError("candidate type set must be nonempty")
-    index = {t: i for i, t in enumerate(types)}
-    parent = list(range(len(types)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, t in enumerate(types):
-        for u in type_graph.adj[t]:
-            j = index.get(u)
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    connected = len({find(i) for i in range(len(types))}) == 1
-    return CandidateTypeSet(types, connected)
+    mask = sum(1 << t for t in set(types))
+    return CandidateTypeSet(types, type_graph.component(types[0], mask) == mask)
 
 
 def connected_type_sets(
@@ -98,10 +84,8 @@ def connected_type_sets(
     below the root, or a sibling whose branch is done), so each set is
     reached along one path only and the stack never exceeds ``max_size``.
     """
-    allowed_mask = 0
-    for t in allowed:
-        allowed_mask |= 1 << t
-    nbr = [sum(1 << u for u in row) & allowed_mask for row in type_graph.adj]
+    allowed_mask = sum(1 << t for t in set(allowed))
+    nbr = [mask & allowed_mask for mask in type_graph.masks]
     for root in mask_members(allowed_mask):
         yield (root,)
         below = (2 << root) - 1
@@ -121,25 +105,21 @@ def connected_type_sets(
             stack.append([chosen, frontier, banned])
 
 
-def type_components(type_graph: TypeGraph, types: Sequence[int]) -> list[list[int]]:
+def type_components(
+    type_graph: TypeGraph, types: Sequence[int]
+) -> list[tuple[int, ...]]:
     """The connected components of the type graph induced on ``types``.
 
-    Each component lists its types breadth first from the first of them in
-    ``types``, and the components come in that order too.
+    Each component lists its types ascending, and the components come in
+    the order of their first type in ``types``.
     """
-    rest = set(types)
-    parts: list[list[int]] = []
+    rest = sum(1 << t for t in set(types))
+    parts: list[tuple[int, ...]] = []
     for root in types:
-        if root not in rest:
-            continue
-        rest.remove(root)
-        part = [root]
-        for t in part:
-            for u in type_graph.adj[t]:
-                if u in rest:
-                    rest.remove(u)
-                    part.append(u)
-        parts.append(part)
+        if rest >> root & 1:
+            part = type_graph.component(root, rest)
+            rest ^= part
+            parts.append(mask_members(part))
     return parts
 
 

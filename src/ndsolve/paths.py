@@ -64,45 +64,47 @@ def minimal_chains(
     chain T1..Tr is yielded when, in ``s_type, T1..Tr, t_type``, exactly
     the consecutive members link: any other link would shortcut to a
     smaller route.  Depth-first on an explicit stack, lowest type id
-    first, each chain once.  A candidate is tested in O(1): ``near[x]``
-    counts the chain members before the last that are adjacent to ``x``.
-    ``near[s_type]`` starts at 1, and every later member but the last has
-    its predecessor among those, so a type already on the chain is never
-    a candidate either.
+    first, each chain once.  ``path`` is ``s_type`` and the chain so far;
+    the frame of ``path[i]`` holds its neighbours still to try next and a
+    ``blocked`` mask of ``path[:i + 1]`` and the neighbours of ``path[:i]``
+    (the members, and the neighbours of every member but the last).  A
+    neighbour of ``path[i]`` outside ``blocked`` links no earlier member,
+    so each candidate costs O(1) mask operations, low bit first.
+    ``t_type`` never becomes a candidate: a candidate neighbours the last
+    member, and a member that neighbours ``t_type`` ends its chain at once.
     """
-    linked = type_graph.linked
-    if linked(s_type, t_type):
+    if type_graph.linked(s_type, t_type):
         yield ()
         return
-    adj = type_graph.adj
-    near = [0] * type_graph.num_types
-    near[s_type] = 1
+    masks = type_graph.masks
+    ends = masks[t_type]
     path = [s_type]
-    stack = [iter(adj[s_type])]  # stack[i] walks the neighbours of path[i]
+    stack = [[masks[s_type], 1 << s_type]]  # stack[i]: [todo, blocked] of path[i]
     while stack:
-        for x in stack[-1]:
-            if near[x]:
-                continue
-            if linked(x, t_type):
-                yield tuple(path[1:]) + (x,)
-            else:
-                for w in adj[path[-1]]:
-                    near[w] += 1
-                path.append(x)
-                stack.append(iter(adj[x]))
-                break
-        else:
+        frame = stack[-1]
+        todo = frame[0]
+        if not todo:
             stack.pop()
             path.pop()
-            if path:
-                for w in adj[path[-1]]:
-                    near[w] -= 1
+            continue
+        low = todo & -todo
+        frame[0] = todo ^ low
+        x = low.bit_length() - 1
+        if low & ends:
+            yield (*path[1:], x)
+        else:
+            blocked = frame[1] | masks[path[-1]]
+            path.append(x)
+            stack.append([masks[x] & ~blocked, blocked])
 
 
 def route_is_valid(
     type_graph: TypeGraph, route: frozenset[int] | set[int], s_type: int, t_type: int
 ) -> bool:
-    """Whether a path with these endpoint types can traverse exactly ``route``."""
+    """Whether a path with these endpoint types can traverse exactly ``route``.
+
+    The solver does not call this; it stays only as a reference for the
+    tests and as a hook of the benchmark's tracer."""
     linked = type_graph.linked
     types = sorted(route)
     if not types:

@@ -150,8 +150,7 @@ def maximal_independent_supersets(
     compat = [0] * type_graph.num_types
     universal = 0
     for t in addable:
-        adjacent = sum(1 << u for u in type_graph.adj[t])
-        compat[t] = pool & ~adjacent & ~(1 << t)
+        compat[t] = pool & ~type_graph.masks[t] & ~(1 << t)
         if compat[t] | 1 << t == pool:
             universal |= 1 << t
     pool ^= universal
@@ -193,10 +192,10 @@ def build_precolor_ilp(
     """Count variables for the maximal subcategories, the category
     equations and the covering rows of the active types.
 
-    Independence checks use one adjacency mask per type, so a type set
-    costs O(|set|) mask operations."""
+    Independence checks read the type graph's adjacency masks, so a type
+    set costs O(|set|) mask operations."""
     k = type_graph.num_types
-    adjacent = [sum(1 << u for u in row) for row in type_graph.adj]
+    adjacent = type_graph.masks
     frozen_mask = sum(1 << t for t in frozen)
     subcats: list[ColorSubcategory] = []
     covering: list[list[int]] = [[] for _ in range(k)]

@@ -627,3 +627,44 @@ def reference_simplify_path(
         z = y + 1
         assert x < y and graph.has_edge(verts[x], verts[z])
         verts = verts[: x + 1] + verts[z:]
+
+
+def tuple_linked(type_graph: TypeGraph, a: int, b: int) -> bool:
+    """``TypeGraph.linked`` as a membership test on the ``adj`` tuples."""
+    if a == b:
+        return type_graph.clique_flag[a]
+    return b in type_graph.adj[a]
+
+
+def reference_minimal_chains(type_graph: TypeGraph, s_type: int, t_type: int):
+    """``minimal_chains`` as it was before it walked adjacency masks: a
+    per-type counter ``near[x]`` of the chain members before the last that
+    neighbour ``x``, raised and lowered over a whole ``adj`` row at every
+    push and pop.  Kept, with links read from the ``adj`` tuples, as the
+    reference for the differential chain test."""
+    if tuple_linked(type_graph, s_type, t_type):
+        yield ()
+        return
+    adj = type_graph.adj
+    near = [0] * type_graph.num_types
+    near[s_type] = 1
+    path = [s_type]
+    stack = [iter(adj[s_type])]  # stack[i] walks the neighbours of path[i]
+    while stack:
+        for x in stack[-1]:
+            if near[x]:
+                continue
+            if tuple_linked(type_graph, x, t_type):
+                yield tuple(path[1:]) + (x,)
+            else:
+                for w in adj[path[-1]]:
+                    near[w] += 1
+                path.append(x)
+                stack.append(iter(adj[x]))
+                break
+        else:
+            stack.pop()
+            path.pop()
+            if path:
+                for w in adj[path[-1]]:
+                    near[w] -= 1

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import random
+import re
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -52,6 +54,36 @@ def test_nd_json(tmp_path, capsys):
     assert payload["k"] == 4
     assert len(payload["classes"]) == 4
     assert payload["h_edges"] == [[0, 1], [1, 2], [2, 3]]
+
+
+def test_text_report_lines(capsys):
+    path = str(DATA_DIR / "paths-clique-yes.nd")
+    assert run(["paths", "--input", path, "--witness", "--check"]) == 0
+    out = re.sub(r"^elapsed_ms: \d+\.\d{3}$", "elapsed_ms: *", capsys.readouterr().out,
+                 flags=re.M)
+    assert out.splitlines() == [
+        "answer: yes",
+        "nd: 1",
+        "ilp_vars: 1",
+        "elapsed_ms: *",
+        "witness: [[1, 2], [3, 4]]",
+        "check: oracle=yes agree=True",
+    ]
+
+
+def test_runs_share_one_parser(monkeypatch, tmp_path, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    path = _write(tmp_path, "p4.nd", P4)
+    assert run(["nd", "--input", path]) == 0
+    assert run(["paths", "--input", path, "--json"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_overlapping_terminals_exit_2(tmp_path, capsys):

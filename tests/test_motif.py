@@ -119,10 +119,14 @@ def test_type_components_agree_with_networkx():
             (a, b) for a in types for b in type_graph.adj[a] if b in types
         )
         parts = type_components(type_graph, types)
-        assert all(part[0] == min(part) for part in parts)
+        assert all(list(part) == sorted(part) for part in parts)
         assert [part[0] for part in parts] == sorted(part[0] for part in parts)
         want = sorted(sorted(c) for c in networkx.connected_components(nx_graph))
         assert sorted(map(sorted, parts)) == want
+        if types:
+            # the same flood fill answers the candidate-set test
+            connected = candidate_type_set(type_graph, tuple(types)).connected
+            assert connected == networkx.is_connected(nx_graph)
 
 
 def _decomposed(inst):

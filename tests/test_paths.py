@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 from ndsolve import (
     Graph,
     PathsInstance,
+    TypeGraph,
     build_type_graph,
     complete_graph,
     compute_type_partition,
@@ -22,6 +24,7 @@ from ndsolve.ilp import solve_feasibility
 from helpers import (
     random_labeled_graph,
     random_simple_walk,
+    reference_minimal_chains,
     reference_simplify_path,
     small_sweep_instance,
 )
@@ -111,6 +114,42 @@ def test_minimal_chains_are_exactly_the_minimal_routes():
                     assert all(_linked(h, a, b) for a, b in zip(seq, seq[1:]))
                     long_chains += len(chain) >= 2
     assert long_chains > 0
+
+
+def _random_type_graph(rng: random.Random, k: int) -> TypeGraph:
+    p = rng.random()
+    adj = [set() for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1, k):
+            if rng.random() < p:
+                adj[a].add(b)
+                adj[b].add(a)
+    return TypeGraph(
+        num_types=k,
+        adj=tuple(tuple(sorted(row)) for row in adj),
+        size=tuple(rng.randint(1, 3) for _ in range(k)),
+        clique_flag=tuple(rng.random() < 0.5 for _ in range(k)),
+    )
+
+
+def test_minimal_chains_match_the_counter_walk():
+    # same chains in the same order as the walk that kept a per-type
+    # counter, for every ordered endpoint pair, the equal ones included
+    rng = random.Random(2020)
+    seen = Counter()
+    for _ in range(400):
+        h = _random_type_graph(rng, rng.randint(2, 9))
+        for s_type in range(h.num_types):
+            for t_type in range(h.num_types):
+                chains = list(minimal_chains(h, s_type, t_type))
+                assert chains == list(reference_minimal_chains(h, s_type, t_type))
+                # a chain member is never an end type
+                assert not any({s_type, t_type} & set(chain) for chain in chains)
+                seen["equal ends" if s_type == t_type else "distinct ends"] += 1
+                for end in (s_type, t_type):
+                    seen["clique end" if h.clique_flag[end] else "independent end"] += 1
+                seen["long chain"] += sum(len(chain) >= 2 for chain in chains)
+    assert min(seen.values()) > 100, seen
 
 
 def test_simplify_keeps_already_simple_paths():
