@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .graphs import Graph
@@ -49,24 +50,23 @@ class TypeGraph:
 
     Two types are adjacent iff the original graph has every possible edge
     between their classes; intra-class structure lives in ``clique_flag``.
-    ``masks`` is derived from ``adj`` once: bit u of ``masks[t]`` is set iff
-    types t and u are adjacent, so :meth:`has_edge` and :meth:`linked` take
-    O(1) and the solvers' type-set searches read their bitmasks from here.
-    It stays out of ``repr`` and equality.
+    Bit u of ``masks[t]``, built on first read, is set iff types t and u
+    are adjacent.  Mask t is as wide as t's highest neighbour, so
+    :meth:`has_edge`, :meth:`linked` and :meth:`edges` read the rows, and
+    ``ndsolve nd`` or a paths instance whose ends link never builds them.
     """
 
     num_types: int
     adj: tuple[tuple[int, ...], ...]
     size: tuple[int, ...]
     clique_flag: tuple[bool, ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        masks = tuple(sum(1 << u for u in row) for row in self.adj)
-        object.__setattr__(self, "masks", masks)
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << u for u in row) for row in self.adj)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b >= 0 and self.masks[a] >> b & 1 == 1
+        return b in self.adj[a]
 
     def linked(self, a: int, b: int) -> bool:
         """Adjacent types, or one clique type seen from itself."""

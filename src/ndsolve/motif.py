@@ -60,16 +60,17 @@ class MotifWitness:
 
 
 def candidate_type_set(type_graph: TypeGraph, types: tuple[int, ...]) -> CandidateTypeSet:
-    """Wrap a type subset, computing connectivity inside the type graph.
+    """Wrap a set of distinct type ids, computing connectivity inside the
+    type graph; an empty or repeating ``types`` raises ``ValueError``.
 
     The solver does not call this (`connected_type_sets` yields only
-    connected sets); it stays only as the tests' independent reference for
-    them and as a hook of the benchmark's tracer.
+    connected sets); it stays only as a test reference and as a hook of the
+    benchmark's tracer.
     """
     types = tuple(sorted(types))
-    if not types:
-        raise ValueError("candidate type set must be nonempty")
-    mask = sum(1 << t for t in set(types))
+    if not types or len(set(types)) < len(types):
+        raise ValueError(f"candidate type set {types} is empty or repeats a type")
+    mask = sum(1 << t for t in types)
     return CandidateTypeSet(types, type_graph.component(types[0], mask) == mask)
 
 

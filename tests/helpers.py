@@ -629,20 +629,28 @@ def reference_simplify_path(
         verts = verts[: x + 1] + verts[z:]
 
 
-def tuple_linked(type_graph: TypeGraph, a: int, b: int) -> bool:
-    """``TypeGraph.linked`` as a membership test on the ``adj`` tuples."""
-    if a == b:
-        return type_graph.clique_flag[a]
-    return b in type_graph.adj[a]
+def rows_connected(type_graph: TypeGraph, types: tuple[int, ...]) -> bool:
+    """Whether ``types`` induce a connected piece of the type graph: a plain
+    search over the ``adj`` rows, independent of the adjacency masks."""
+    inside = set(types)
+    seen = {types[0]}
+    todo = [types[0]]
+    while todo:
+        for u in type_graph.adj[todo.pop()]:
+            if u in inside and u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return seen == inside
 
 
 def reference_minimal_chains(type_graph: TypeGraph, s_type: int, t_type: int):
     """``minimal_chains`` as it was before it walked adjacency masks: a
     per-type counter ``near[x]`` of the chain members before the last that
     neighbour ``x``, raised and lowered over a whole ``adj`` row at every
-    push and pop.  Kept, with links read from the ``adj`` tuples, as the
-    reference for the differential chain test."""
-    if tuple_linked(type_graph, s_type, t_type):
+    push and pop.  Kept as the reference for the differential chain
+    test."""
+    linked = type_graph.linked
+    if linked(s_type, t_type):
         yield ()
         return
     adj = type_graph.adj
@@ -654,7 +662,7 @@ def reference_minimal_chains(type_graph: TypeGraph, s_type: int, t_type: int):
         for x in stack[-1]:
             if near[x]:
                 continue
-            if tuple_linked(type_graph, x, t_type):
+            if linked(x, t_type):
                 yield tuple(path[1:]) + (x,)
             else:
                 for w in adj[path[-1]]:

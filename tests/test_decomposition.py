@@ -21,7 +21,6 @@ from helpers import (
     literal_same_type,
     random_labeled_graph,
     reference_type_graph,
-    tuple_linked,
 )
 from ndsolve.generate import sparse_template
 
@@ -185,20 +184,24 @@ def test_type_graph_matches_edge_count_reference():
         assert build_type_graph(g, p) == reference_type_graph(g, p)
 
 
-def test_mask_links_match_the_tuple_test():
-    # every pair, out-of-range and negative ``b`` included: the tuple test
-    # says no there, where a bare shift by a negative count would raise
+def test_masks_match_the_rows_and_are_built_on_first_read():
     rng = random.Random(1618)
     graphs = [g for n in range(1, 5) for g in all_labeled_graphs(n)]
     graphs.extend(random_labeled_graph(rng, 14, rng.random()) for _ in range(60))
     for g in graphs:
         p = compute_type_partition(g)
         for h in (build_type_graph(g, p), reference_type_graph(g, p)):
+            k = h.num_types
+            # the row-level queries leave the masks unbuilt
+            assert not any(h.linked(a, -1) for a in range(k))
+            list(h.edges())
+            assert "masks" not in vars(h)
+            for a in range(k):
+                assert h.masks[a] >> k == 0
+                for b in range(k):
+                    assert (h.masks[a] >> b & 1 == 1) == (b in h.adj[a])
             assert "masks" not in repr(h)
-            for a in range(h.num_types):
-                for b in range(-2, h.num_types + 2):
-                    assert h.has_edge(a, b) == (b in h.adj[a])
-                    assert h.linked(a, b) == tuple_linked(h, a, b)
+            assert h == reference_type_graph(g, p)
 
 
 def exhaustive_has_cover(g: Graph, budget: int) -> bool:

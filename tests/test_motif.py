@@ -15,8 +15,10 @@ from ndsolve import (
     solve_motif,
     validate_motif_witness,
 )
+from ndsolve.decomposition import TypeGraph
 from ndsolve.generate import generate_from_template, random_instance, random_template
 from ndsolve.motif import (
+    CandidateTypeSet,
     candidate_type_set,
     color_tables,
     connected_type_sets,
@@ -24,7 +26,7 @@ from ndsolve.motif import (
     skeleton_exists,
     type_components,
 )
-from helpers import reference_motif_witness, small_sweep_instance
+from helpers import reference_motif_witness, rows_connected, small_sweep_instance
 
 
 def test_adjacent_pair_in_triangle():
@@ -129,6 +131,15 @@ def test_type_components_agree_with_networkx():
             assert connected == networkx.is_connected(nx_graph)
 
 
+def test_candidate_type_set_takes_distinct_types_only():
+    h = TypeGraph(3, ((1,), (0,), ()), (1, 1, 1), (False, False, True))
+    assert candidate_type_set(h, (1, 0)) == CandidateTypeSet((0, 1), True)
+    assert not candidate_type_set(h, (0, 2)).connected
+    for types in ((), (0, 0), (2, 2)):
+        with pytest.raises(ValueError):
+            candidate_type_set(h, types)
+
+
 def _decomposed(inst):
     partition = compute_type_partition(inst.graph)
     return partition, build_type_graph(inst.graph, partition)
@@ -230,7 +241,7 @@ def test_connected_type_sets_are_exactly_the_small_connected_sets():
             if (
                 len(types) <= len(inst.motif)
                 and set(types) <= set(colored)
-                and candidate_type_set(type_graph, types).connected
+                and rows_connected(type_graph, types)
             ):
                 want.add(types)
         assert set(got) == want

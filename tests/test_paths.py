@@ -281,6 +281,17 @@ def test_long_chain_needs_no_recursion():
     assert report.witness.paths == (tuple(range(3000)),)
 
 
+def test_linked_ends_leave_the_masks_unbuilt():
+    # a mask is as wide as its type's highest neighbour, so on this k = 3000
+    # path the chain walk's masks would take k**2 / 16 bytes; ends that link
+    # answer from the rows alone
+    g = path_graph(3000)
+    partition, h = _decomposed(g)
+    _, categories = build_paths_ilp(PathsInstance(g, ((1, 2),)), partition, h)
+    assert [cat.chain for cat in categories] == [()]
+    assert "masks" not in vars(h)
+
+
 def test_agrees_with_oracle_on_random_instances():
     rng = random.Random(889)
     yes = 0
