@@ -241,8 +241,11 @@ def bench_cells(
     template so a fully-joined pair of huge classes cannot blow the edge
     count up quadratically.  Cells run one after another in one thread, so
     no cell's time includes waiting on another.  A row's ``ilp_vars`` is
-    the largest over its seeds, as ``max_ms`` is.
+    the largest over its seeds, as ``max_ms`` is.  Raises ``ValueError``
+    when ``seeds`` is below 1.
     """
+    if seeds < 1:
+        raise ValueError(f"seed count must be positive: {seeds}")
     solve = _PROBLEMS[problem].solve
 
     def run_cell(k: int, n: int) -> dict:
@@ -261,8 +264,8 @@ def bench_cells(
             "k": k,
             "n": n,
             "seeds": seeds,
-            "median_ms": round(statistics.median(times), 3) if times else None,
-            "max_ms": round(max(times), 3) if times else None,
+            "median_ms": round(statistics.median(times), 3),
+            "max_ms": round(max(times), 3),
             "ilp_vars": ilp_vars,
         }
 

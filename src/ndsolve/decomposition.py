@@ -74,14 +74,22 @@ class TypeGraph:
             return self.clique_flag[a]
         return self.has_edge(a, b)
 
-    def component(self, root: int, within: int) -> int:
-        """Mask of ``root`` and the types it reaches through types of ``within``."""
-        seen = todo = 1 << root
-        while todo:
-            low = todo & -todo
-            grown = self.masks[low.bit_length() - 1] & within & ~seen
-            seen |= grown
-            todo ^= low | grown
+    def component(self, root: int, within: int, radius: int) -> int:
+        """Mask of ``root`` and the types it reaches through types of
+        ``within`` in at most ``radius`` steps, one distance layer per step;
+        a radius of ``within``'s type count reaches its whole component.
+        """
+        seen = layer = 1 << root
+        for _ in range(radius):
+            grown = 0
+            while layer:
+                low = layer & -layer
+                grown |= self.masks[low.bit_length() - 1]
+                layer ^= low
+            layer = grown & within & ~seen
+            if not layer:
+                break
+            seen |= layer
         return seen
 
     def edges(self) -> Iterator[tuple[int, int]]:

@@ -102,9 +102,16 @@ def random_template(
     edge_prob: float = 0.5,
     clique_prob: float = 0.5,
 ) -> TypeTemplate:
-    """Random template: random composition of n, random flags and class edges."""
+    """Random template: random composition of n, random flags and class edges.
+
+    Raises ``ValueError`` for too few vertices and for a probability outside
+    [0, 1] (NaN included).
+    """
     if num_types < 1 or n < num_types:
         raise ValueError("need at least one vertex per class")
+    for name, prob in (("edge", edge_prob), ("clique", clique_prob)):
+        if not 0 <= prob <= 1:
+            raise ValueError(f"{name} probability must be in [0, 1]: {prob}")
     rng = random.Random(seed)
     cuts = sorted(rng.sample(range(1, n), num_types - 1)) if num_types > 1 else []
     bounds = [0, *cuts, n]
@@ -157,7 +164,8 @@ def random_instance(
 
     Deterministic for a fixed seed.  Raises ``ValueError`` for annotation
     requests the graph cannot satisfy (e.g. more terminal pairs than
-    vertices) and for palettes beyond ``MAX_COLORS``.
+    vertices), for palettes beyond ``MAX_COLORS`` and for a precolor
+    fraction outside [0, 1].
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
@@ -192,6 +200,8 @@ def random_instance(
 
     if not 1 <= num_colors <= MAX_COLORS:
         raise ValueError(f"color budget must be in 1..{MAX_COLORS}")
+    if not 0 <= precolor_fraction <= 1:
+        raise ValueError(f"precolor fraction must be in [0, 1]: {precolor_fraction}")
     order = list(range(n))
     rng.shuffle(order)
     take = int(round(precolor_fraction * n))

@@ -11,17 +11,20 @@ colors can therefore be added greedily.  Skeleton existence is a bipartite
 matching between motif color occurrences and the set's types.
 
 A skeleton spends a distinct motif occurrence on each type, so a feasible
-set has at most |M| types and each of them holds a motif color.  It also
-lies in one component of the motif-colored types (`type_components`, one
-flood fill per component over the type graph's adjacency masks), and its
-pool is part of that component's, so a component whose pool misses some
-motif color is skipped whole.  The solver therefore never tests a set for
-connectivity: `connected_type_sets` grows exactly the connected sets of at
-most |M| motif-colored types in the other components, as sorted tuples of
-type ids, and the pool test, the skeleton and the extension all read one
-per-type color table (`color_tables`).  Each set is grown from its lowest
-type, depth first, adding neighbours in ascending id order, and a yes
-answer reports the witness of the first feasible set in that order.
+set has at most |M| types and each of them holds a motif color.  Sets are
+grown from each motif-colored root in ascending order, depth first, adding
+neighbours in ascending id order, and their other types are motif-colored
+types above the root.  Such a set is connected and has at most |M| types,
+so it lies in the ball of radius |M| - 1 around its root in those types
+(`TypeGraph.component`), and its pool is part of the ball's: just before
+growing from a root, the solver skips it whole when the ball's pool misses
+some motif color.  A ball lies in its root's component, so this also skips
+every root of a component that falls short.  The solver never tests a set
+for connectivity: `connected_type_sets` grows exactly the connected sets
+of at most |M| types with a given lowest type, as sorted tuples of type
+ids, and the pool test, the skeleton and the extension all read one
+per-type color table (`color_tables`).  A yes answer reports the witness
+of the first feasible set in growth order.
 """
 
 from __future__ import annotations
@@ -71,57 +74,40 @@ def candidate_type_set(type_graph: TypeGraph, types: tuple[int, ...]) -> Candida
     if not types or len(set(types)) < len(types):
         raise ValueError(f"candidate type set {types} is empty or repeats a type")
     mask = sum(1 << t for t in types)
-    return CandidateTypeSet(types, type_graph.component(types[0], mask) == mask)
+    reached = type_graph.component(types[0], mask, len(types))
+    return CandidateTypeSet(types, reached == mask)
 
 
 def connected_type_sets(
-    type_graph: TypeGraph, allowed: Iterable[int], max_size: int
+    type_graph: TypeGraph, root: int, allowed: Iterable[int], max_size: int
 ) -> Iterator[tuple[int, ...]]:
-    """Every connected set of at most ``max_size`` allowed types, once each.
+    """Every connected set of at most ``max_size`` allowed types whose
+    lowest type is ``root``, once each.
 
-    Sets are grown from their lowest type, depth first, adding frontier
-    types in ascending id order.  A frame holds bitmasks of the ``chosen``
-    types, the ``frontier`` still to try and the ``banned`` types (chosen,
-    below the root, or a sibling whose branch is done), so each set is
-    reached along one path only and the stack never exceeds ``max_size``.
+    Sets are grown depth first, adding frontier types in ascending id
+    order.  A frame holds bitmasks of the ``chosen`` types, the
+    ``frontier`` still to try and the ``banned`` types (chosen, below the
+    root, or a sibling whose branch is done), so each set is reached along
+    one path only and the stack never exceeds ``max_size``.
     """
     allowed_mask = sum(1 << t for t in set(allowed))
     nbr = [mask & allowed_mask for mask in type_graph.masks]
-    for root in mask_members(allowed_mask):
-        yield (root,)
-        below = (2 << root) - 1
-        stack = [[1 << root, nbr[root] & ~below, below]]
-        while stack:
-            frame = stack[-1]
-            chosen, frontier, banned = frame
-            if not frontier or len(stack) == max_size:
-                stack.pop()
-                continue
-            low = frontier & -frontier
-            banned |= low
-            frame[1], frame[2] = frontier ^ low, banned
-            chosen |= low
-            yield mask_members(chosen)
-            frontier = (frontier | nbr[low.bit_length() - 1]) & ~banned
-            stack.append([chosen, frontier, banned])
-
-
-def type_components(
-    type_graph: TypeGraph, types: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """The connected components of the type graph induced on ``types``.
-
-    Each component lists its types ascending, and the components come in
-    the order of their first type in ``types``.
-    """
-    rest = sum(1 << t for t in set(types))
-    parts: list[tuple[int, ...]] = []
-    for root in types:
-        if rest >> root & 1:
-            part = type_graph.component(root, rest)
-            rest ^= part
-            parts.append(mask_members(part))
-    return parts
+    yield (root,)
+    below = (2 << root) - 1
+    stack = [[1 << root, nbr[root] & ~below, below]]
+    while stack:
+        frame = stack[-1]
+        chosen, frontier, banned = frame
+        if not frontier or len(stack) == max_size:
+            stack.pop()
+            continue
+        low = frontier & -frontier
+        banned |= low
+        frame[1], frame[2] = frontier ^ low, banned
+        chosen |= low
+        yield mask_members(chosen)
+        frontier = (frontier | nbr[low.bit_length() - 1]) & ~banned
+        stack.append([chosen, frontier, banned])
 
 
 def color_tables(
@@ -219,16 +205,20 @@ def solve_motif(instance: MotifInstance) -> SolveReport:
         )
 
     colored = [t for t in range(k) if any(c in tables[t] for c in want)]
-    # a connected set lies in one component of the motif-colored types, and
-    # a set's pool only grows as types join it, so a component whose types
-    # together fall short of some motif color holds no feasible set
-    kept = [
-        t for part in type_components(type_graph, colored) if not short(part)
-        for t in part
-    ]
-    grown = connected_type_sets(type_graph, kept, size) if kept else ()
+    colored_mask = sum(1 << t for t in colored)
+
+    def grown() -> Iterator[tuple[int, ...]]:
+        for root in colored:
+            # a set grown from root is connected, with at most `size` colored
+            # types >= root, so it lies within size - 1 steps of root; pools
+            # only grow as types join, so a short ball holds no feasible set
+            ball = type_graph.component(root, colored_mask >> root << root, size - 1)
+            ball_types = mask_members(ball)
+            if not short(ball_types):
+                yield from connected_type_sets(type_graph, root, ball_types, size)
+
     witness: MotifWitness | None = None
-    for types in grown:
+    for types in grown():
         if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:
             # a lone independent type hosts only a one-vertex motif
             continue

@@ -23,7 +23,12 @@ from ndsolve import (
     build_type_graph,
     compute_type_partition,
 )
-from ndsolve.generate import TypeTemplate, random_instance, random_template
+from ndsolve.generate import (
+    TypeTemplate,
+    generate_from_template,
+    random_instance,
+    random_template,
+)
 from ndsolve.ilp import IlpProblem, LinearConstraint, at_most, equal
 from ndsolve.io import _DIRECTIVES, MAX_VERTICES, ParseError, _int, _vertex
 from ndsolve.motif import color_tables, connected_type_sets, skeleton_exists
@@ -222,11 +227,12 @@ def reference_motif_witness(inst: MotifInstance) -> tuple[int, ...] | None:
     """The motif witness by a per-set Counter pool test and a vertex-order
     extension.
 
-    Takes the first set in ``connected_type_sets`` order that is not a lone
-    independent type (for a motif of two or more), whose Counter of member
-    colors covers the motif and which has a skeleton; then scans the set's
-    types in id order and their members in id order, adding each vertex
-    whose color the motif still needs.  None when no set qualifies.
+    Grows from every motif-colored root in ascending order, with no ball
+    test, and takes the first set in ``connected_type_sets`` order that is
+    not a lone independent type (for a motif of two or more), whose Counter
+    of member colors covers the motif and which has a skeleton; then scans
+    the set's types in id order and their members in id order, adding each
+    vertex whose color the motif still needs.  None when no set qualifies.
     """
     partition = compute_type_partition(inst.graph)
     type_graph = build_type_graph(inst.graph, partition)
@@ -235,7 +241,12 @@ def reference_motif_witness(inst: MotifInstance) -> tuple[int, ...] | None:
     colors = [[inst.vertex_color[v] for v in members] for members in partition.classes]
     colored = [t for t, row in enumerate(colors) if set(row) & set(want)]
     size = len(inst.motif)
-    for types in connected_type_sets(type_graph, colored, size):
+    grown = (
+        types
+        for root in colored
+        for types in connected_type_sets(type_graph, root, colored, size)
+    )
+    for types in grown:
         if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:
             continue
         pool = Counter(c for t in types for c in colors[t])
@@ -255,6 +266,23 @@ def reference_motif_witness(inst: MotifInstance) -> tuple[int, ...] | None:
                     picked.add(v)
         return tuple(sorted(picked))
     return None
+
+
+def far_color_motif(k: int, hops: int) -> MotifInstance:
+    """The far-color motif probe: the motif (1, ..., 7) on a graph whose only
+    color-7 vertex is ``hops`` steps from the rest.
+
+    A template graph of ``k`` classes on 2k vertices takes colors 1-6 from
+    ``Random(0)`` in vertex order.  A path of ``hops`` new vertices hangs
+    from vertex 0; its last vertex has color 7 and the others color 1.
+    """
+    graph = generate_from_template(random_template(k, 2 * k, 0, edge_prob=0.15), 0)
+    rng = random.Random(0)
+    n = graph.n
+    colors = [rng.randint(1, 6) for _ in range(n)] + [1] * (hops - 1) + [7]
+    path = [0, *range(n, n + hops)]
+    graph = Graph.from_edges(n + hops, [*graph.edges(), *zip(path, path[1:])])
+    return MotifInstance(graph, tuple(colors), tuple(range(1, 8)))
 
 
 def reference_reduced_instance(

@@ -220,6 +220,34 @@ def test_regression_corpus_check_agreement(corpus_file, capsys):
         assert payload["answer"] == expected
 
 
+BENCH_CELL = ["bench", "--problem", "paths", "--k", "2", "--n", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        ([*BENCH_CELL, "--seeds", "0"], "0"),
+        ([*BENCH_CELL, "--seeds", "-1"], "-1"),
+        (["gen", "graph", "--edge-prob", "3"], "3.0"),
+        (["gen", "graph", "--clique-prob", "-2"], "-2.0"),
+        (["gen", "graph", "--edge-prob", "nan"], "nan"),
+        (["gen", "precolor", "--precolor-fraction", "-1"], "-1.0"),
+        (["gen", "precolor", "--precolor-fraction", "nan"], "nan"),
+    ],
+)
+def test_out_of_range_generator_values_exit_2(argv, value, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.rstrip().endswith(f": {value}")
+
+
+def test_bench_cells_rejects_a_seed_count_below_1():
+    with pytest.raises(ValueError, match="seed count must be positive: 0"):
+        bench_cells("paths", [2], [16], 0)
+
+
 def test_bench_json(capsys):
     assert run([
         "bench", "--problem", "paths", "--k", "2", "--n", "16",

@@ -88,6 +88,16 @@ def test_random_instance_rejects_infeasible_requests():
         random_instance("motif", t, 0, colors=40)
     with pytest.raises(ValueError, match="unknown problem"):
         random_instance("hamilton", t, 0)
+    for fraction in (-1, 1.01, float("nan")):
+        with pytest.raises(ValueError, match=f"precolor fraction .*: {fraction}$"):
+            random_instance("precolor", t, 0, precolor_fraction=fraction)
+
+
+def test_random_template_rejects_probabilities_outside_0_1():
+    for params in ({"edge_prob": 3}, {"edge_prob": float("nan")}, {"clique_prob": -2}):
+        [value] = params.values()
+        with pytest.raises(ValueError, match=f"probability must be in .*: {value}$"):
+            random_template(3, 6, 0, **params)
 
 
 def test_random_instances_are_valid_across_many_seeds():

@@ -24,9 +24,13 @@ from ndsolve.motif import (
     connected_type_sets,
     extend_skeleton,
     skeleton_exists,
-    type_components,
 )
-from helpers import reference_motif_witness, rows_connected, small_sweep_instance
+from helpers import (
+    far_color_motif,
+    reference_motif_witness,
+    rows_connected,
+    small_sweep_instance,
+)
 
 
 def test_adjacent_pair_in_triangle():
@@ -103,7 +107,18 @@ def test_split_motif_color_answers_without_growth(monkeypatch):
     assert not solve_motif(inst).answer
 
 
-def test_type_components_agree_with_networkx():
+@pytest.mark.parametrize("k", [20, 31, 40])
+def test_far_motif_color_answers_without_growth(monkeypatch, k):
+    # the color-7 vertex ends a path of 8 hops, so no motif-colored root has
+    # all seven colors within six steps: every root's ball is cut
+    def never(*args):
+        raise AssertionError("connected_type_sets was called")
+
+    monkeypatch.setattr("ndsolve.motif.connected_type_sets", never)
+    assert not solve_motif(far_color_motif(k, 8)).answer
+
+
+def test_component_is_the_ball_networkx_finds():
     networkx = pytest.importorskip("networkx")
     rng = random.Random(31)
     for _ in range(200):
@@ -120,11 +135,14 @@ def test_type_components_agree_with_networkx():
         nx_graph.add_edges_from(
             (a, b) for a in types for b in type_graph.adj[a] if b in types
         )
-        parts = type_components(type_graph, types)
-        assert all(list(part) == sorted(part) for part in parts)
-        assert [part[0] for part in parts] == sorted(part[0] for part in parts)
-        want = sorted(sorted(c) for c in networkx.connected_components(nx_graph))
-        assert sorted(map(sorted, parts)) == want
+        within = sum(1 << t for t in types)
+        for root in types:
+            for radius in range(k + 1):
+                want = networkx.single_source_shortest_path_length(
+                    nx_graph, root, cutoff=radius
+                )
+                got = type_graph.component(root, within, radius)
+                assert got == sum(1 << t for t in want), (root, radius)
         if types:
             # the same flood fill answers the candidate-set test
             connected = candidate_type_set(type_graph, tuple(types)).connected
@@ -232,7 +250,11 @@ def test_connected_type_sets_are_exactly_the_small_connected_sets():
             for t in range(k)
             if any(inst.vertex_color[v] in inst.motif for v in partition.classes[t])
         ]
-        got = list(connected_type_sets(type_graph, colored, len(inst.motif)))
+        got = [
+            types
+            for root in colored
+            for types in connected_type_sets(type_graph, root, colored, len(inst.motif))
+        ]
         assert len(got) == len(set(got))
         assert all(list(types) == sorted(types) for types in got)
         want = set()
@@ -267,6 +289,10 @@ def test_witness_matches_the_vertex_order_reference():
                 motif_size=rng.randint(1, min(10, n)),
             )
         )
+    # a color-7 vertex `hops` steps out: only some roots' balls reach it
+    instances += [
+        far_color_motif(k, hops) for k in range(6, 13) for hops in range(1, 9)
+    ]
     yes = 0
     for inst in instances:
         report = solve_motif(inst)
