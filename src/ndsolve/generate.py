@@ -162,10 +162,11 @@ def random_instance(
 ) -> MotifInstance | PathsInstance | PrecolorInstance:
     """Random valid instance of the given problem over a template graph.
 
-    Deterministic for a fixed seed.  Raises ``ValueError`` for annotation
-    requests the graph cannot satisfy (e.g. more terminal pairs than
-    vertices), for palettes beyond ``MAX_COLORS`` and for a precolor
-    fraction outside [0, 1].
+    Deterministic for a fixed seed.  Raises ``ValueError``, ending with the
+    value at fault, for annotation requests the graph cannot satisfy (a
+    negative pair count, or more pair ends than vertices), for palettes and
+    color budgets outside 1..``MAX_COLORS`` and for a precolor fraction
+    outside [0, 1].
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
@@ -175,7 +176,7 @@ def random_instance(
 
     if problem == "motif":
         if not 1 <= colors <= MAX_COLORS:
-            raise ValueError(f"palette size must be in 1..{MAX_COLORS}")
+            raise ValueError(f"palette size must be in 1..{MAX_COLORS}: {colors}")
         vertex_color = tuple(rng.randint(1, colors) for _ in range(n))
         size = motif_size if motif_size is not None else rng.randint(1, min(6, n))
         if not 1 <= size <= n:
@@ -190,8 +191,11 @@ def random_instance(
 
     if problem == "paths":
         p = num_pairs if num_pairs is not None else rng.randint(0, min(3, n // 2))
-        if 2 * p > n:
-            raise ValueError(f"{p} terminal pairs need {2 * p} distinct vertices")
+        if not 0 <= p <= n // 2:
+            raise ValueError(
+                f"terminal pair count must be in 0..{n // 2}, "
+                f"two distinct vertices each: {p}"
+            )
         terminals = rng.sample(range(n), 2 * p)
         pairs = tuple(
             (terminals[2 * i], terminals[2 * i + 1]) for i in range(p)
@@ -199,7 +203,7 @@ def random_instance(
         return PathsInstance(graph, pairs)
 
     if not 1 <= num_colors <= MAX_COLORS:
-        raise ValueError(f"color budget must be in 1..{MAX_COLORS}")
+        raise ValueError(f"color budget must be in 1..{MAX_COLORS}: {num_colors}")
     if not 0 <= precolor_fraction <= 1:
         raise ValueError(f"precolor fraction must be in [0, 1]: {precolor_fraction}")
     order = list(range(n))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .decomposition import (
     TypeGraph,
@@ -79,10 +79,10 @@ def candidate_type_set(type_graph: TypeGraph, types: tuple[int, ...]) -> Candida
 
 
 def connected_type_sets(
-    type_graph: TypeGraph, root: int, allowed: Iterable[int], max_size: int
+    type_graph: TypeGraph, root: int, allowed: int, max_size: int
 ) -> Iterator[tuple[int, ...]]:
-    """Every connected set of at most ``max_size`` allowed types whose
-    lowest type is ``root``, once each.
+    """Every connected set of at most ``max_size`` types of the mask
+    ``allowed`` whose lowest type is ``root``, once each.
 
     Sets are grown depth first, adding frontier types in ascending id
     order.  A frame holds bitmasks of the ``chosen`` types, the
@@ -90,11 +90,10 @@ def connected_type_sets(
     root, or a sibling whose branch is done), so each set is reached along
     one path only and the stack never exceeds ``max_size``.
     """
-    allowed_mask = sum(1 << t for t in set(allowed))
-    nbr = [mask & allowed_mask for mask in type_graph.masks]
+    masks = type_graph.masks
     yield (root,)
     below = (2 << root) - 1
-    stack = [[1 << root, nbr[root] & ~below, below]]
+    stack = [[1 << root, masks[root] & allowed & ~below, below]]
     while stack:
         frame = stack[-1]
         chosen, frontier, banned = frame
@@ -106,7 +105,7 @@ def connected_type_sets(
         frame[1], frame[2] = frontier ^ low, banned
         chosen |= low
         yield mask_members(chosen)
-        frontier = (frontier | nbr[low.bit_length() - 1]) & ~banned
+        frontier = (frontier | masks[low.bit_length() - 1] & allowed) & ~banned
         stack.append([chosen, frontier, banned])
 
 
@@ -213,9 +212,8 @@ def solve_motif(instance: MotifInstance) -> SolveReport:
             # types >= root, so it lies within size - 1 steps of root; pools
             # only grow as types join, so a short ball holds no feasible set
             ball = type_graph.component(root, colored_mask >> root << root, size - 1)
-            ball_types = mask_members(ball)
-            if not short(ball_types):
-                yield from connected_type_sets(type_graph, root, ball_types, size)
+            if not short(mask_members(ball)):
+                yield from connected_type_sets(type_graph, root, ball, size)
 
     witness: MotifWitness | None = None
     for types in grown():

@@ -33,10 +33,15 @@ other routed colors fill the open vertices and any surplus color is simply
 left off t.  Two uses of one color always lie in one independent set of
 types, so the result is proper.  Frozen types are left out of the per-type
 rows; their adjacency constraints still apply through the categories.
+Frozen types need no fill of their own: no subcategory adds one, so a
+frozen type is routed exactly the colors of the categories holding it,
+which are its pinned colors, and its lowest routed color is pinned in it.
 
-The witness follows from the first feasible count table of the search,
-with variables ordered by category and then in the order
-:func:`maximal_independent_supersets` yields the sets.
+A pinned color never sits on two adjacent vertices, so a category's types
+are pairwise non-adjacent and no clique type repeats a pinned color.  The
+witness follows from the first feasible count table of the search, with
+variables ordered by category and then in the order :func:`maximal_cliques`
+yields the sets.
 :func:`reconstruct_coloring` hands out colors in that same order.
 """
 
@@ -107,13 +112,8 @@ def compute_color_categories(
     """
     type_of = partition.type_of
     pinned_types: dict[int, set[int]] = {}
-    seen_in_type: set[tuple[int, int]] = set()
     for v, c in instance.precolor.items():
-        t = type_of[v]
-        if partition.clique_flag[t] and (t, c) in seen_in_type:
-            raise ValueError(f"color {c} precolored twice inside clique type {t}")
-        seen_in_type.add((t, c))
-        pinned_types.setdefault(c, set()).add(t)
+        pinned_types.setdefault(c, set()).add(type_of[v])
 
     last = min(instance.num_colors, instance.graph.n + len(pinned_types))
     groups = {frozenset(): [c for c in range(1, last + 1) if c not in pinned_types]}
@@ -125,36 +125,25 @@ def compute_color_categories(
     )
 
 
-def maximal_independent_supersets(
-    type_graph: TypeGraph,
-    base: frozenset[int],
-    addable: Sequence[int],
-) -> Iterator[frozenset[int]]:
-    """Each maximal superset of ``base`` by pairwise non-adjacent types
-    from ``addable``, once.
+def maximal_cliques(compat: Sequence[int], pool: int) -> Iterator[int]:
+    """Each maximal clique of the graph ``compat`` restricted to the types
+    of ``pool``, once, as a mask.
 
-    ``addable`` types must already be non-adjacent to ``base``.  A type
-    compatible with every other addable type is in every maximal set, so it
-    joins the base first.  The sets are the maximal cliques of the
-    complement of the type graph on the other addable types, listed by
-    Bron-Kerbosch with a pivot on bitmasks over an explicit stack.  A frame
-    holds the ``chosen`` types, the ``candidates`` compatible with all of
-    them, the ``excluded`` compatible types whose branch is done, and the
-    ``todo`` candidates still to branch on, lowest id first: those
-    incompatible with the pivot, a type that leaves the fewest.  A set is
-    maximal when no candidate or excluded type remains.
+    Bit u of ``compat[t]`` is set iff t and u are joined; no mask holds its
+    own bit.  A type joined to every other pool type is in every maximal
+    clique, so it is taken out first and added to each clique yielded.  The
+    other cliques are listed by Bron-Kerbosch with a pivot on bitmasks over
+    an explicit stack.  A frame holds the ``chosen`` types, the
+    ``candidates`` joined to all of them, the ``excluded`` joined types
+    whose branch is done, and the ``todo`` candidates still to branch on,
+    lowest id first: those not joined to the pivot, a type that leaves the
+    fewest.  A clique is maximal when no candidate or excluded type remains.
     """
-    pool = 0
-    for t in addable:
-        pool |= 1 << t
-    compat = [0] * type_graph.num_types
     universal = 0
-    for t in addable:
-        compat[t] = pool & ~type_graph.masks[t] & ~(1 << t)
-        if compat[t] | 1 << t == pool:
+    for t in mask_members(pool):
+        if pool & ~compat[t] == 1 << t:
             universal |= 1 << t
     pool ^= universal
-    base = base.union(mask_members(universal))
 
     def frame(chosen: int, candidates: int, excluded: int) -> list[int]:
         pivot = max(
@@ -164,7 +153,7 @@ def maximal_independent_supersets(
         return [chosen, candidates, excluded, candidates & ~compat[pivot]]
 
     if not pool:
-        yield base
+        yield universal
         return
     stack = [frame(0, pool, 0)]
     while stack:
@@ -181,7 +170,7 @@ def maximal_independent_supersets(
         if candidates:
             stack.append(frame(chosen | low, candidates, excluded))
         elif not excluded:
-            yield base.union(mask_members(chosen | low))
+            yield universal | chosen | low
 
 
 def build_precolor_ilp(
@@ -192,31 +181,28 @@ def build_precolor_ilp(
     """Count variables for the maximal subcategories, the category
     equations and the covering rows of the active types.
 
-    Independence checks read the type graph's adjacency masks, so a type
-    set costs O(|set|) mask operations."""
+    One compatibility table, read off the type graph's adjacency masks,
+    serves every category: ``compat[t]`` holds the open (not frozen) types
+    other than t that are not adjacent to t.  A category's pool is the
+    intersection of its types' rows, and its subcategories are its types
+    joined with each maximal clique of ``compat`` on that pool."""
     k = type_graph.num_types
-    adjacent = type_graph.masks
-    frozen_mask = sum(1 << t for t in frozen)
+    open_types = ((1 << k) - 1) & ~sum(1 << t for t in frozen)
+    compat = [open_types & ~(mask | 1 << t) for t, mask in enumerate(type_graph.masks)]
     subcats: list[ColorSubcategory] = []
     covering: list[list[int]] = [[] for _ in range(k)]
     constraints = []
     for ci, category in enumerate(categories):
         if category.color_count == 0:
             continue
-        base = category.type_set
-        base_mask = sum(1 << t for t in base)
-        blocked = base_mask | frozen_mask
-        for a in base:
-            if adjacent[a] & base_mask:
-                raise ValueError("category types are adjacent; input is corrupt")
-            blocked |= adjacent[a]
-        addable = mask_members(((1 << k) - 1) & ~blocked)
+        pool = open_types
+        for a in category.type_set:
+            pool &= compat[a]
         first = len(subcats)
-        for type_set in maximal_independent_supersets(type_graph, base, addable):
-            set_mask = sum(1 << a for a in type_set)
+        for clique in maximal_cliques(compat, pool):
+            type_set = category.type_set.union(mask_members(clique))
             for a in type_set:
                 covering[a].append(len(subcats))
-                assert not adjacent[a] & set_mask
             subcats.append(ColorSubcategory(ci, type_set))
         row = tuple((i, 1) for i in range(first, len(subcats)))
         constraints.append(LinearConstraint(row, "=", category.color_count))
@@ -234,7 +220,6 @@ def build_precolor_ilp(
 def reconstruct_coloring(
     instance: PrecolorInstance,
     partition: TypePartition,
-    frozen: frozenset[int],
     categories: tuple[ColorCategory, ...],
     subcats: tuple[ColorSubcategory, ...],
     counts: Sequence[int],
@@ -242,12 +227,13 @@ def reconstruct_coloring(
     """Turn feasible subcategory counts into a full proper coloring.
 
     Subcategories are walked once in variable order, and each takes the
-    next ``count`` colors of its category.  One color list, seeded from the
-    precoloring, is then filled class by class: a frozen class's open
-    vertices take its lowest pinned color, an independent class's open
-    vertices share its lowest routed color, and a clique's open vertices
-    take, in id order, the lowest routed colors not pinned inside it.  The
-    surplus stays off the type; the covering rows guarantee enough colors.
+    next ``count`` colors of its category and routes them to its types.
+    One color list, seeded from the precoloring, is then filled class by
+    class: an independent class's open vertices share its lowest routed
+    color, and a clique's open vertices take, in id order, the lowest
+    routed colors not pinned inside it.  The surplus stays off the type;
+    the covering rows guarantee enough colors.  A frozen class is routed
+    exactly its pinned colors, so its lowest routed color is pinned in it.
     """
     routed: list[list[int]] = [[] for _ in range(partition.num_types)]
     taken = [0] * len(categories)
@@ -256,8 +242,7 @@ def reconstruct_coloring(
         colors = categories[ci].colors[taken[ci] : taken[ci] + count]
         taken[ci] += count
         for t in sc.type_set:
-            if t not in frozen:
-                routed[t].extend(colors)
+            routed[t].extend(colors)
     assert taken == [c.color_count for c in categories], "counts miss a category"
 
     color_of = [0] * instance.graph.n
@@ -267,9 +252,7 @@ def reconstruct_coloring(
         open_slots = [v for v in members if not color_of[v]]
         if not open_slots:
             continue
-        if t in frozen:
-            fill = [min(color_of[v] for v in members if color_of[v])] * len(open_slots)
-        elif partition.clique_flag[t]:
+        if partition.clique_flag[t]:
             pinned = {color_of[v] for v in members if color_of[v]}
             fill = [c for c in sorted(routed[t]) if c not in pinned]
         else:
@@ -292,7 +275,7 @@ def solve_precolor(instance: PrecolorInstance) -> SolveReport:
     witness: ColoringWitness | None = None
     if solution is not None:
         witness = reconstruct_coloring(
-            instance, partition, frozen, categories, subcats, solution.values
+            instance, partition, categories, subcats, solution.values
         )
         validate_coloring_witness(instance, witness.colors)
     elapsed = (time.perf_counter() - start) * 1000.0

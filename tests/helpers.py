@@ -240,11 +240,12 @@ def reference_motif_witness(inst: MotifInstance) -> tuple[int, ...] | None:
     want = inst.motif_counts()
     colors = [[inst.vertex_color[v] for v in members] for members in partition.classes]
     colored = [t for t, row in enumerate(colors) if set(row) & set(want)]
+    colored_mask = sum(1 << t for t in colored)
     size = len(inst.motif)
     grown = (
         types
         for root in colored
-        for types in connected_type_sets(type_graph, root, colored, size)
+        for types in connected_type_sets(type_graph, root, colored_mask, size)
     )
     for types in grown:
         if len(types) == 1 and size > 1 and not partition.clique_flag[types[0]]:

@@ -233,6 +233,10 @@ BENCH_CELL = ["bench", "--problem", "paths", "--k", "2", "--n", "16"]
         (["gen", "graph", "--edge-prob", "nan"], "nan"),
         (["gen", "precolor", "--precolor-fraction", "-1"], "-1.0"),
         (["gen", "precolor", "--precolor-fraction", "nan"], "nan"),
+        (["gen", "paths", "--pairs", "-1"], "-1"),
+        ([*BENCH_CELL, "--pairs", "-1"], "-1"),
+        (["gen", "motif", "--colors", "0"], "0"),
+        (["gen", "precolor", "--num-colors", "17"], "17"),
     ],
 )
 def test_out_of_range_generator_values_exit_2(argv, value, capsys):

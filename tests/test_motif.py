@@ -250,10 +250,13 @@ def test_connected_type_sets_are_exactly_the_small_connected_sets():
             for t in range(k)
             if any(inst.vertex_color[v] in inst.motif for v in partition.classes[t])
         ]
+        colored_mask = sum(1 << t for t in colored)
         got = [
             types
             for root in colored
-            for types in connected_type_sets(type_graph, root, colored, len(inst.motif))
+            for types in connected_type_sets(
+                type_graph, root, colored_mask, len(inst.motif)
+            )
         ]
         assert len(got) == len(set(got))
         assert all(list(types) == sorted(types) for types in got)

@@ -17,11 +17,11 @@ from ndsolve import (
     validate_coloring_witness,
 )
 from ndsolve.ilp import solve_feasibility
-from ndsolve.decomposition import TypeGraph
+from ndsolve.decomposition import TypeGraph, mask_members
 from ndsolve.precolor import (
     build_precolor_ilp,
     compute_color_categories,
-    maximal_independent_supersets,
+    maximal_cliques,
 )
 from ndsolve.generate import random_instance, random_template
 from helpers import reference_reduced_instance, small_sweep_instance
@@ -227,6 +227,54 @@ def test_active_types_are_colored_rainbow():
                         assert report.witness.colors[v] == low
 
 
+def test_frozen_types_route_exactly_their_pinned_colors():
+    # a frozen type joins only the subcategories of categories holding it,
+    # so routing a feasible count table as reconstruct_coloring does hands
+    # it each color pinned in its class once, and no other color
+    rng = random.Random(2200)
+    sweep = [small_sweep_instance("precolor", rng) for _ in range(150)]
+    dense = []
+    for _ in range(150):
+        k = rng.randint(1, 10)
+        template = random_template(
+            k,
+            rng.randint(k, 30),
+            rng.getrandbits(32),
+            edge_prob=rng.random(),
+            clique_prob=rng.random(),
+        )
+        dense.append(
+            random_instance(
+                "precolor",
+                template,
+                rng.getrandbits(32),
+                num_colors=rng.randint(1, 8),
+                precolor_fraction=rng.uniform(0.5, 1),
+            )
+        )
+    checked = 0
+    for inst in sweep + dense:
+        frozen, partition, h = _reduced(inst)
+        cats = compute_color_categories(inst, partition)
+        problem, subcats = build_precolor_ilp(frozen, cats, h)
+        solution = solve_feasibility(problem)
+        if solution is None:
+            continue
+        routed = [[] for _ in range(h.num_types)]
+        taken = [0] * len(cats)
+        for sc, count in zip(subcats, solution.values):
+            ci = sc.category_index
+            for t in sc.type_set:
+                routed[t].extend(cats[ci].colors[taken[ci] : taken[ci] + count])
+            taken[ci] += count
+        for t in frozen:
+            members = partition.classes[t]
+            pinned = {inst.precolor[v] for v in members if v in inst.precolor}
+            assert sorted(routed[t]) == sorted(pinned)
+            checked += 1
+    assert checked > 100
+
+
 def _brute_maximal(h, base, addable):
     """Maximal supersets of ``base`` by pairwise non-adjacent ``addable``
     types, by listing every independent subset."""
@@ -287,7 +335,13 @@ def test_maximal_independent_supersets_match_brute_force():
             for t in range(k)
             if t not in base and not adj[t] & base and rng.random() < 0.9
         ]
-        got = list(maximal_independent_supersets(h, base, addable))
+        complement = [
+            ((1 << k) - 1) & ~(mask | 1 << t) for t, mask in enumerate(h.masks)
+        ]
+        got = [
+            base.union(mask_members(clique))
+            for clique in maximal_cliques(complement, sum(1 << t for t in addable))
+        ]
         assert len(got) == len(set(got))
         assert set(got) == _brute_maximal(h, base, addable)
 
