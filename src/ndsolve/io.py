@@ -7,31 +7,43 @@ a bare graph file is valid.  Vertex ids are 0-based in memory.  A header may
 declare at most :data:`MAX_VERTICES` vertices, and the color budget and the
 motif's total count are held to the same limit.
 
-The text is read in slices of about :data:`_SLICE` characters.  A slice made
-only of ``e``, only of ``vcolor`` or only of ``precolor`` lines, each
-``<keyword> <number> <number>`` with single spaces, numbers in ASCII digits
-without a leading zero, and a ``\n`` end, is a run: with the keywords
-dropped and every separator made a comma it is a JSON array, read by one
-``json.loads`` (JSON reads such numbers exactly as ``int`` does), and its
-vertex ids map straight to the parser's id objects.  Every other slice goes
-through the line loop.
+The text is read in slices of about :data:`_SLICE` characters, each cut
+after a newline.  A text no longer than that is one slice.  In a longer one
+the header line is a slice of its own, and each later slice that starts
+with a keyword ends after its last line that starts with the same keyword,
+so the edge lines after the header make slices of their own, and so do the
+lines of each later keyword.
+
+A slice of ``e``, ``vcolor`` or ``precolor`` lines is a run when each of
+its lines is ``<keyword> <digits> <digits>\n``: its first word is the
+keyword, every later line starts with the keyword and a space (a count of
+``'\n<keyword> '``), and with its ASCII digits deleted by one
+``str.translate`` it reads ``'<keyword>  \n'`` once per line.  So tabs,
+``\r``, signs, underscores, non-ASCII digits and other line breaks leave a
+slice out of runs.  A second ``translate`` drops the keyword's letters and
+the newlines and makes each space a comma, and one ``json.loads`` reads
+the numbers.  JSON refuses an empty number and a leading zero, Python's
+cap on integer digits holds for it as for ``int``, and a run holding a
+bare 0 restarts (below), so a run takes only numbers of at least 1 written
+without a sign or a leading zero, which JSON reads exactly as ``int``
+does.  A run's vertex ids map straight to the parser's id objects.  Every
+other slice goes through the line loop.
 
 This first pass keeps each vertex's neighbors as a list, in input order,
 with no test for a repeated edge.  Edges written in the serializer's order
 leave every row ascending, and then the graph is built without a sort;
 :meth:`Graph.from_neighbor_lists` sorts the rows only if a distinct row is
 out of order, and a row that then repeats a vertex marks a repeated edge or
-a self-loop.  Runs word no error: if a run meets an id above n, a family or
-key already taken, or a row repeats a vertex, or if any other error comes
-up, the whole text is parsed again by the line loop alone, with neighbor
-sets and a test per edge, and that parse words the error with its line
-number.
+a self-loop.  Runs word no error: if a run meets a 0 or an id above n, a
+family or key already taken, or a row repeats a vertex, or if any other
+error comes up, the whole text is parsed again by the line loop alone,
+with neighbor sets and a test per edge, and that parse words the error
+with its line number.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect
 from collections import Counter, deque
 from typing import Iterator
@@ -44,11 +56,11 @@ Instance = Graph | MotifInstance | PathsInstance | PrecolorInstance
 # Largest vertex count a header may declare.  parse_instance allocates one
 # neighbor list and one id object per vertex as soon as it reads the header,
 # before any edge, about 0.11 KB together (tracemalloc peak, Python 3.11).
-# The first run adds a 1-based copy of the id list: a header plus 20000 edges
-# at n = 2*10**5 peaks at 0.14 KB per vertex, so the cap bounds a sparse
-# graph at roughly 140 MB.  A text read again to word its error holds
-# neighbor sets instead, about 0.27 KB per vertex, once the first pass's
-# rows are freed.
+# The first run, at the line after the header, adds a 1-based copy of the id
+# list: a header plus 20000 edges at n = 2*10**5 peaks at 0.14 KB per vertex,
+# so the cap bounds a sparse graph at roughly 140 MB.  A text read again to
+# word its error holds neighbor sets instead, about 0.27 KB per vertex, once
+# the first pass's rows are freed.
 # The sum of the 'motif' counts shares the cap, as the motif is held as one
 # entry per occurrence.  So does the 'colors' budget, to keep one limit on
 # every count a file declares; precoloring lists at most n + #pinned colors.
@@ -69,12 +81,14 @@ _DIRECTIVES = {
     "colors": ("precolor", "color budget", "colors <r>", "c"),
 }
 
-# A run: a slice of lines '<keyword> <u> <x>\n' with one keyword, where u is
-# a vertex and x a vertex or a color, both written without a sign or a
-# leading zero, so each is at least 1.
-_RUN = re.compile(
-    r"(e|vcolor|precolor) [1-9][0-9]* [1-9][0-9]*\n(?:\1 [1-9][0-9]* [1-9][0-9]*\n)*"
-)
+# The keywords of a run's lines, '<keyword> <u> <x>', where u is a vertex
+# and x a vertex or a color.
+_RUN_KEYWORDS = ("e", "vcolor", "precolor")
+# Deletes the ASCII digits, so a run's lines all read '<keyword>  \n'.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+# Deletes the run keywords' letters and the newlines and makes each space a
+# comma: '<kw> 1 2\n<kw> 3 4\n' -> ',1,2,3,4'.
+_RUN_TO_JSON = str.maketrans(" ", ",", "".join(_RUN_KEYWORDS) + "\n")
 
 
 class ParseError(ValueError):
@@ -99,14 +113,60 @@ def _vertex(token: str, n: int, line: int) -> int:
     return v - 1
 
 
+def _first_word(text: str, start: int = 0) -> str:
+    """The word that starts ``text`` at ``start`` if a space ends it within
+    the length of the longest keyword, 'precolor', else ''."""
+    word, space, _ = text[start : start + 9].partition(" ")
+    return word if space else ""
+
+
 def _slices(text: str) -> Iterator[str]:
-    """``text`` in slices of about :data:`_SLICE` characters, each cut just
-    after a newline."""
-    start, end = 0, len(text)
+    """``text`` in slices of at most about :data:`_SLICE` characters, each
+    cut just after a newline.
+
+    A text no longer than :data:`_SLICE` is one slice.  A longer one gives
+    its first line, the header, as a slice of its own; each later slice
+    whose first line starts with a keyword of the grammar ends after the
+    last line within :data:`_SLICE` characters that starts with the same
+    keyword, so a change of keyword starts a new slice.  Only grammar
+    keywords cut, and a slice that ends early leaves its keyword absent
+    from the rest of its reach, so the searches back cover the text about
+    once per keyword.
+    """
+    end = len(text)
+    if end <= _SLICE:
+        yield text
+        return
+    start = text.find("\n") + 1 or end
+    yield text[:start]
     while start < end:
         cut = text.find("\n", start + _SLICE) + 1 or end
+        keyword = _first_word(text, start)
+        if keyword == "e" or keyword in _DIRECTIVES:
+            last = text.rfind(f"\n{keyword} ", start - 1, cut) + 1
+            cut = text.find("\n", last) + 1 or end
         yield text[start:cut]
         start = cut
+
+
+def _run_keyword(chunk: str) -> str:
+    """The keyword of ``chunk`` if it is a run, else ''.
+
+    A run is a slice of lines ``<keyword> <digits> <digits>\n`` with one of
+    :data:`_RUN_KEYWORDS`: its first word is that keyword, every other
+    line starts with it and a space, and with its ASCII digits deleted it
+    is ``'<keyword>  \n'`` once per line.
+    """
+    keyword = _first_word(chunk)
+    if keyword not in _RUN_KEYWORDS or not chunk.endswith("\n"):
+        return ""
+    stripped = chunk.translate(_NO_DIGITS)
+    lines = len(stripped) // (len(keyword) + 3)  # the chunk's newlines, if a run
+    if stripped != f"{keyword}  \n" * lines:
+        return ""
+    if chunk.count(f"\n{keyword} ") != lines - 1:
+        return ""
+    return keyword
 
 
 class _Restart(Exception):
@@ -139,20 +199,19 @@ def _parse(text: str, runs: bool) -> Instance:
     line_no = 0
 
     for chunk in _slices(text):
-        run = runs and n is not None and _RUN.fullmatch(chunk)
-        if run:
+        keyword = runs and n is not None and _run_keyword(chunk)
+        if keyword:
             if one_based is None:
                 one_based = [None, *ids]
-            keyword = run[1]
-            # '<kw> 1 2\n<kw> 3 4\n' -> '[1,2,3,4\n]'
-            body = chunk[len(keyword) + 1 :].replace(f"\n{keyword} ", ",")
             try:
-                numbers = json.loads(f"[{body.replace(' ', ',')}]")
+                numbers = json.loads(f"[{chunk.translate(_RUN_TO_JSON)[1:]}]")
+                if 0 in numbers:  # no id or color is 0; the line loop words it
+                    raise _Restart
                 keys = list(map(one_based.__getitem__, numbers[0::2]))
                 values = numbers[1::2]
                 if keyword == "e":
                     values = list(map(one_based.__getitem__, values))
-            except (IndexError, ValueError):  # id above n; json caps digits
+            except (IndexError, ValueError):  # id above n; a number JSON refuses
                 raise _Restart from None
             line_no += len(keys)
             if keyword == "e":

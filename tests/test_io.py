@@ -15,7 +15,7 @@ from ndsolve import (
     parse_instance,
     serialize_instance,
 )
-from ndsolve.io import _RUN, _SLICE, _parse, _slices
+from ndsolve.io import _SLICE, _parse, _run_keyword, _slices
 from helpers import (
     random_labeled_graph,
     reference_from_edges,
@@ -341,8 +341,7 @@ def _runs(text, keyword):
     found, first = [], 0
     for chunk in _slices(text):
         count = len(chunk.splitlines())
-        run = _RUN.fullmatch(chunk)
-        if run and run[1] == keyword:
+        if _run_keyword(chunk) == keyword:
             found.append((first, count))
         first += count
     return found
@@ -372,6 +371,14 @@ def _repeat(keyword):
 def _replace(keyword, new):
     def edit(lines, text):
         lines[_middle(text, keyword, 0)] = new
+    return _line_edit(edit)
+
+
+def _rewrite(keyword, change):
+    """Rewrite the line in the middle of the first run of keyword."""
+    def edit(lines, text):
+        i = _middle(text, keyword, 0)
+        lines[i] = change(lines[i])
     return _line_edit(edit)
 
 
@@ -434,6 +441,17 @@ _RUN_CASES = {
     "every edge written 'e v u' with v > u": ("motif", _reverse_edges),
     "edge repeated reversed across runs": ("motif", _repeat_reversed_edge),
     "self-loop in a run": ("motif", _replace("e", "e 77 77")),
+    "keyword glued to its first number in a run": ("motif", _replace("e", "e1 2 3")),
+    "third number in a run": ("motif", _replace("e", "e 1 2 3")),
+    # unless every line must start with 'e ', the 3 joins the 2: (1, 23), (4, 5)
+    "digits before the keyword in a run": ("motif", _replace("e", "e 1 2\n3e 4 5")),
+    "tab separator in a run": (
+        "motif",
+        _rewrite("e", lambda line: line.replace(" ", "\t", 1)),
+    ),
+    "crlf line end in a run": ("motif", _rewrite("e", lambda line: line + "\r")),
+    "blank line in an edge run": ("motif", _rewrite("e", lambda line: line + "\n")),
+    "digits after the last newline": ("precolor", lambda text: text + "55"),
     "edge line cut in two in a run": ("motif", _replace("e", "e 77\n78")),
     **{
         f"vertex id {token!r} in an edge run": ("motif", _replace("e", f"e {token} 5"))
@@ -467,6 +485,95 @@ def test_runs_match_the_reference(run_texts, case):
     assert len(run_texts[family]) > 3 * _SLICE
     text = edit(run_texts[family])
     assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+_RUN_TOKENS = ("0", "01", "+1", "1e3", "\u0663")
+_RUN_SEPARATORS = ("\t", "\r", "\x0b")
+
+
+def _mutate_runs(rng, text):
+    """One to three line edits: a word replaced by a token a run must not
+    take, a space replaced by another separator, a number added or dropped,
+    a line repeated or blanked."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(1, len(lines))
+        tokens = lines[i].split(" ")
+        op = rng.randrange(6)
+        if op == 0:
+            tokens[rng.randrange(len(tokens))] = rng.choice(_RUN_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == 1:
+            lines[i] = lines[i].replace(" ", rng.choice(_RUN_SEPARATORS), 1)
+        elif op == 2:
+            lines[i] += " 7"
+        elif op == 3:
+            lines[i] = " ".join(tokens[:-1])
+        elif op == 4:
+            lines.insert(i, lines[rng.randrange(1, len(lines))])
+        else:
+            lines[i] = ""
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_long_texts_match_the_reference(run_texts):
+    rng = random.Random(41)
+    for trial in range(32):
+        text = _mutate_runs(rng, run_texts[("motif", "precolor")[trial % 2]])
+        assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+
+
+@pytest.mark.parametrize(
+    "chunk, keyword",
+    [
+        ("e 1 2\ne 30 4\n", "e"),
+        ("vcolor 7 1\n", "vcolor"),
+        ("precolor 12 3\nprecolor 13 3\n", "precolor"),
+        ("e 1 2\n55", ""),  # digits after the last newline
+        ("e 1 2\n5e 1 2\n", ""),  # a line that does not start with the keyword
+        ("e1 2 3\ne 1 2\n", ""),
+        ("e 1 2\nvcolor 1 2\n", ""),
+        ("motif 1 2\n", ""),
+        ("e 1 2 3\n", ""),
+        ("e 1\u0663 2\n", ""),
+        ("e 1 2\r\n", ""),
+    ],
+)
+def test_run_check(chunk, keyword):
+    assert _run_keyword(chunk) == keyword
+
+
+def test_long_texts_are_sliced_at_lines_and_keyword_changes(run_texts):
+    text = run_texts["motif"]
+    lines = text.splitlines()
+    for i in range(5, len(lines), 997):  # a comment, then a blank line
+        lines[i] += " # note"
+        lines.insert(i + 1, "")
+    third = sum(map(len, list(_slices(text))[:3]))
+    edited = [
+        "\n".join(lines) + "\n",
+        run_texts["precolor"].replace("\n", "\r\n"),
+        text[:third] + "#no-space-within-a-keyword\n" + text[third:],
+    ]
+    for long in [*run_texts.values(), *edited]:
+        slices = list(_slices(long))
+        assert "".join(slices) == long
+        assert all(slices)
+        # the last line of a slice starts within _SLICE characters
+        assert all(s.rfind("\n", 0, len(s) - 1) + 1 <= _SLICE for s in slices)
+    assert any(s.startswith("#no-space") for s in _slices(edited[-1]))
+    for long in run_texts.values():
+        header, *rest = _slices(long)
+        assert header == long[: long.index("\n") + 1]
+        # every slice is a run but the header and the lone 'motif' and
+        # 'colors' lines, which come one keyword to a slice
+        for s in rest:
+            assert _run_keyword(s) or {line.split()[0] for line in s.splitlines()} in (
+                {"motif"},
+                {"colors"},
+            )
+    short = run_texts["motif"][:_SLICE]
+    assert list(_slices(short)) == [short]
 
 
 def test_one_unsorted_twin_row_matches_the_reference():
