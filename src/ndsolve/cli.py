@@ -23,14 +23,8 @@ from .instances import MotifInstance, PathsInstance, PrecolorInstance, SolveRepo
 from .io import ParseError, parse_instance, serialize_instance
 from .motif import MotifWitness, solve_motif
 from .oracles import SizeGuardError, oracle_motif, oracle_paths, oracle_precolor
-from .paths import PathsWitness, build_paths_ilp, solve_paths
-from .precolor import (
-    ColoringWitness,
-    build_precolor_ilp,
-    compute_color_categories,
-    reduce_independent_types,
-    solve_precolor,
-)
+from .paths import PathsWitness, compile_paths, solve_paths
+from .precolor import ColoringWitness, compile_precolor, solve_precolor
 
 
 class _Problem(NamedTuple):
@@ -152,23 +146,12 @@ def _cmd_nd(args) -> int:
     return EXIT_OK
 
 
-def _dump_ilp(problem_name: str, instance) -> None:
-    partition = compute_type_partition(instance.graph)
-    type_graph = build_type_graph(instance.graph, partition)
-    if problem_name == "paths":
-        ilp, _ = build_paths_ilp(instance, partition, type_graph)
-    else:
-        frozen = reduce_independent_types(instance, partition)
-        categories = compute_color_categories(instance, partition)
-        ilp, _ = build_precolor_ilp(frozen, categories, type_graph)
-    sys.stderr.write(format_problem(ilp))
-
-
 def _cmd_solve(args) -> int:
     problem = _PROBLEMS[args.problem]
     instance = _load(args, args.problem)
     if getattr(args, "dump_ilp", False):
-        _dump_ilp(args.problem, instance)
+        compile_ilp = compile_paths if args.problem == "paths" else compile_precolor
+        sys.stderr.write(format_problem(compile_ilp(instance)[-1]))
     report = problem.solve(instance)
     check = None
     if args.check:
@@ -184,14 +167,11 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     problem = _PROBLEMS[args.problem]
     instance = _load(args, args.problem)
+    nd = compute_type_partition(instance.graph).num_types
     start = time.perf_counter()
-    answer, raw = problem.oracle(instance)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    partition = compute_type_partition(instance.graph)
+    _, raw = problem.oracle(instance)
     witness = problem.witness_type(tuple(raw)) if raw is not None else None
-    report = SolveReport(
-        answer=answer, nd=partition.num_types, elapsed_ms=elapsed, witness=witness
-    )
+    report = SolveReport.finish(start, nd, witness)
     _emit_report(f"oracle-{args.problem}", report, args)
     return EXIT_OK
 

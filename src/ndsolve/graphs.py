@@ -17,7 +17,10 @@ class Graph:
 
     - :meth:`from_edges` checks vertex ids, rejects self-loops and duplicate
       edges, and symmetrizes the adjacency.  It gathers each vertex's
-      neighbors in a list and sorts every list in place.
+      neighbors in a list, then sorts each list in place and hands it to
+      :meth:`from_neighbor_lists`, which freezes it (the list is freed
+      then) and finds a repeated edge or a self-loop as a row that repeats
+      a vertex.
     - :meth:`from_neighbor_lists` takes rows, one per vertex, that may still
       repeat a vertex.  It sorts only the distinct rows that are not
       strictly ascending, so rows built in order (the parser's rows for
@@ -39,40 +42,37 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if iter(edges) is edges:  # a one-shot iterator; a fault reads it twice
             edges = list(edges)
-        # Gather, sort and intern with no test per edge.  An id that Python
-        # cannot index with ends the loop; any other fault leaves a distinct
-        # row that repeats a vertex or starts below 0.  Either way the
+        # Gather and sort with no test per edge.  An id that Python cannot
+        # index with ends the gather, and a row that repeats a vertex makes
+        # from_neighbor_lists raise; an id that list indexing lets through
+        # (-n..-1) leaves a row that starts below 0.  In each case the
         # checked loop reads the edges again and words the first fault.
         rows: list = [[] for _ in range(n)]
-        distinct: dict[_Row, _Row] = {}
         try:
             for u, v in edges:
                 rows[u].append(v)
                 rows[v].append(u)
-            for u, row in enumerate(rows):
-                row.sort()
-                row = tuple(row)
-                rows[u] = distinct.setdefault(row, row)
+            graph = cls.from_neighbor_lists(_sorted_in_turn(rows))
         except (TypeError, ValueError, IndexError):
             pass
         else:
-            if not _faulty(distinct):
-                return cls(n, tuple(rows))
-        del rows, distinct
+            if all(row[0] >= 0 for row in graph.adj if row):
+                return graph
+        del rows
         return cls.from_neighbor_lists(map(sorted, _checked_neighbor_sets(n, edges)))
 
     @classmethod
     def from_neighbor_lists(cls, neighbors: Iterable[Sequence[int]]) -> Graph:
         """Freeze neighbor rows, one per vertex, into sorted tuples.
 
-        The caller has checked ids and added each edge to both endpoints,
-        but a row may still repeat a vertex.  The rows are frozen and
-        interned as they are, so equal rows become one tuple (a tuple row
-        is kept, not copied), and only the distinct rows are checked: a row
-        that is not strictly ascending is sorted and interned again, so its
-        sorted copy merges with an equal row.  A sorted row that still
-        repeats a vertex (a duplicate edge or a self-loop) raises
-        ``ValueError``.
+        The caller has added each edge to both endpoints and checked ids
+        (:meth:`from_edges` checks them on the frozen rows), but a row may
+        still repeat a vertex.  The rows are frozen and interned as they
+        are, so equal rows become one tuple (a tuple row is kept, not
+        copied), and only the distinct rows are checked: a row that is not
+        strictly ascending is sorted and interned again, so its sorted copy
+        merges with an equal row.  A sorted row that still repeats a vertex
+        (a duplicate edge or a self-loop) raises ``ValueError``.
         """
         distinct: dict[_Row, _Row] = {}
         adj = tuple(distinct.setdefault(row, row) for row in map(tuple, neighbors))
@@ -122,12 +122,13 @@ def _checked_neighbor_sets(n: int, edges: Iterable[tuple[int, int]]) -> list[set
     return neighbors
 
 
-def _faulty(rows: Iterable[_Row]) -> bool:
-    """True iff a sorted row repeats a vertex or holds an id below 0."""
-    for row in rows:
-        if row and (row[0] < 0 or len(set(row)) < len(row)):
-            return True
-    return False
+def _sorted_in_turn(rows: list) -> Iterator[list[int]]:
+    """Sort each row in place and yield it, dropping ``rows``' reference
+    first, so each list is freed once the caller has frozen it."""
+    for u, row in enumerate(rows):
+        rows[u] = None
+        row.sort()
+        yield row
 
 
 def _ascending(row: _Row) -> bool:

@@ -112,6 +112,14 @@ def _propagate(rows: list[_Row], lower: list[int], upper: list[int]) -> bool:
 
     Interval reasoning only ever discards values no integer solution can
     take, so the solution set is preserved exactly.
+
+    One test per row finds every contradiction.  A row's terms are
+    tightened only when its minimum is within its bound, and each term
+    moves only the bound that the minimum does not read, so the minimum
+    stays exact for the whole row.  With ``rest`` the other terms' part of
+    the minimum, c > 0 gives ``c * lower[j] + rest <= rhs``, hence
+    ``new_up >= lower[j]``, and c < 0 gives ``c * upper[j] + rest <= rhs``,
+    hence ``new_low <= upper[j]``: a tightening never empties an interval.
     """
     changed = True
     while changed:
@@ -127,8 +135,6 @@ def _propagate(rows: list[_Row], lower: list[int], upper: list[int]) -> bool:
                     rest = total_min - c * lower[j]
                     new_up = (rhs - rest) // c
                     if new_up < upper[j]:
-                        if new_up < lower[j]:
-                            return False
                         upper[j] = new_up
                         changed = True
                 else:
@@ -136,8 +142,6 @@ def _propagate(rows: list[_Row], lower: list[int], upper: list[int]) -> bool:
                     # c*x <= rhs - rest with c < 0, so x >= ceil((rhs-rest)/c)
                     new_low = -((rhs - rest) // -c)
                     if new_low > lower[j]:
-                        if new_low > upper[j]:
-                            return False
                         lower[j] = new_low
                         changed = True
     return True

@@ -9,6 +9,7 @@ deciders and the test suite.
 
 from __future__ import annotations
 
+import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -101,13 +102,27 @@ class PrecolorInstance:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solver run: answer, optional witness and statistics."""
+    """Outcome of a solver run: answer, optional witness and statistics.
+
+    Every solver, and the CLI's oracle command, builds its report through
+    :meth:`finish`, so the answer is yes exactly when a witness was found.
+    """
 
     answer: bool
     nd: int
     elapsed_ms: float
     witness: Any | None = None
     ilp_vars: int | None = None
+
+    @classmethod
+    def finish(
+        cls, start: float, nd: int, witness: Any | None, ilp_vars: int | None = None
+    ) -> SolveReport:
+        """The report of a run whose clock started at ``start``, a
+        ``time.perf_counter()`` reading; it answers yes iff ``witness`` is
+        not None."""
+        elapsed = (time.perf_counter() - start) * 1000.0
+        return cls(witness is not None, nd, elapsed, witness, ilp_vars)
 
 
 def induced_connected(graph: Graph, vertices: Iterable[int]) -> bool:

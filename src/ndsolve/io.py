@@ -404,8 +404,10 @@ def serialize_instance(instance: Instance) -> str:
 
     A :class:`PathsInstance` with no pairs is written as its bare graph,
     which :func:`parse_instance` returns as a :class:`Graph`; the CLI and
-    the benchmark read that as 0 pairs.
+    the benchmark read that as 0 pairs.  Anything else raises ``TypeError``.
     """
+    if not isinstance(instance, Instance):
+        raise TypeError(f"cannot serialize {type(instance).__name__}")
     graph = instance if isinstance(instance, Graph) else instance.graph
     pieces = [f"p graph {graph.n}"]  # every later piece starts with a newline
     for u, row in enumerate(graph.adj):
@@ -425,8 +427,6 @@ def serialize_instance(instance: Instance) -> str:
     elif isinstance(instance, PrecolorInstance):
         lines.append(f"\ncolors {instance.num_colors}")
         lines += [f"\nprecolor {v + 1} {c}" for v, c in sorted(instance.precolor.items())]
-    elif not isinstance(instance, Graph):
-        raise TypeError(f"cannot serialize {type(instance).__name__}")
     pieces.append("".join(lines))
     pieces.append("\n")
     return "".join(pieces)

@@ -233,7 +233,4 @@ def solve_motif(instance: MotifInstance) -> SolveReport:
 
     if witness is not None:
         validate_motif_witness(instance, witness.vertices)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SolveReport(
-        answer=witness is not None, nd=k, elapsed_ms=elapsed, witness=witness
-    )
+    return SolveReport.finish(start, k, witness)

@@ -249,22 +249,24 @@ def reconstruct_paths(
     return PathsWitness(tuple(paths))
 
 
-def solve_paths(instance: PathsInstance) -> SolveReport:
-    """Decide the disjoint-paths instance; reconstruct a witness on yes."""
-    start = time.perf_counter()
+def compile_paths(
+    instance: PathsInstance,
+) -> tuple[TypePartition, tuple[PathCategory, ...], IlpProblem]:
+    """The instance's type partition, path categories and integer system;
+    the solver and the CLI's ``--dump-ilp`` both compile through here."""
     partition = compute_type_partition(instance.graph)
     type_graph = build_type_graph(instance.graph, partition)
     problem, categories = build_paths_ilp(instance, partition, type_graph)
+    return partition, categories, problem
+
+
+def solve_paths(instance: PathsInstance) -> SolveReport:
+    """Decide the disjoint-paths instance; reconstruct a witness on yes."""
+    start = time.perf_counter()
+    partition, categories, problem = compile_paths(instance)
     solution = solve_feasibility(problem)
     witness: PathsWitness | None = None
     if solution is not None:
         witness = reconstruct_paths(instance, partition, categories, solution.values)
         validate_paths_witness(instance, witness.paths, type_of=partition.type_of)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SolveReport(
-        answer=witness is not None,
-        nd=partition.num_types,
-        elapsed_ms=elapsed,
-        witness=witness,
-        ilp_vars=problem.num_vars,
-    )
+    return SolveReport.finish(start, partition.num_types, witness, problem.num_vars)

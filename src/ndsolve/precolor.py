@@ -263,14 +263,24 @@ def reconstruct_coloring(
     return ColoringWitness(tuple(color_of))
 
 
-def solve_precolor(instance: PrecolorInstance) -> SolveReport:
-    """Decide whether the precoloring extends; report a full coloring on yes."""
-    start = time.perf_counter()
+def compile_precolor(instance: PrecolorInstance) -> tuple[
+    TypePartition, tuple[ColorCategory, ...], tuple[ColorSubcategory, ...], IlpProblem
+]:
+    """The instance's type partition, color categories, subcategories and
+    integer system; the solver and the CLI's ``--dump-ilp`` both compile
+    through here."""
     partition = compute_type_partition(instance.graph)
     type_graph = build_type_graph(instance.graph, partition)
     frozen = reduce_independent_types(instance, partition)
     categories = compute_color_categories(instance, partition)
     problem, subcats = build_precolor_ilp(frozen, categories, type_graph)
+    return partition, categories, subcats, problem
+
+
+def solve_precolor(instance: PrecolorInstance) -> SolveReport:
+    """Decide whether the precoloring extends; report a full coloring on yes."""
+    start = time.perf_counter()
+    partition, categories, subcats, problem = compile_precolor(instance)
     solution = solve_feasibility(problem)
     witness: ColoringWitness | None = None
     if solution is not None:
@@ -278,11 +288,4 @@ def solve_precolor(instance: PrecolorInstance) -> SolveReport:
             instance, partition, categories, subcats, solution.values
         )
         validate_coloring_witness(instance, witness.colors)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SolveReport(
-        answer=witness is not None,
-        nd=partition.num_types,
-        elapsed_ms=elapsed,
-        witness=witness,
-        ilp_vars=problem.num_vars,
-    )
+    return SolveReport.finish(start, partition.num_types, witness, problem.num_vars)

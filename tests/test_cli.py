@@ -178,12 +178,16 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_dump_ilp_goes_to_stderr(tmp_path, capsys):
-    path = _write(tmp_path, "pre.nd", "p graph 3\ne 1 2\ne 2 3\ncolors 2\n")
-    assert run(["precolor", "--input", path, "--json", "--dump-ilp"]) == 0
+@pytest.mark.parametrize("problem", ["precolor", "paths"])
+def test_dump_ilp_goes_to_stderr(problem, tmp_path, capsys):
+    if problem == "paths":
+        path = str(DATA_DIR / "paths-clique-yes.nd")
+    else:
+        path = _write(tmp_path, "pre.nd", "p graph 3\ne 1 2\ne 2 3\ncolors 2\n")
+    assert run([problem, "--input", path, "--json", "--dump-ilp"]) == 0
     captured = capsys.readouterr()
-    assert "vars" in captured.err
-    json.loads(captured.out)  # report stays clean JSON
+    assert captured.err.startswith("vars ")
+    assert json.loads(captured.out)["problem"] == problem  # report stays clean JSON
 
 
 def test_missing_file_exit_2(capsys):

@@ -94,6 +94,15 @@ def test_verify_partition_rejects_refinements_and_bad_groups():
 
     with pytest.raises(ValueError, match="shape"):
         verify_partition(k3, compute_type_partition(path_graph(4)))
+    # a partition of the right shape whose classes are not a partition
+    for type_of, classes, match in (
+        ((0, 0, 0), ((0, 1, 2), ()), "class 1 is empty"),
+        ((0, 0, 1), ((0, 1), (1, 2)), "do not partition the vertex set"),
+        ((0, 1, 1), ((0,), (1,)), "do not partition the vertex set"),
+    ):
+        bad = TypePartition(type_of, classes, (False, False), 2)
+        with pytest.raises(ValueError, match=match):
+            verify_partition(k3, bad)
 
 
 def test_type_graph_k23():
@@ -222,6 +231,8 @@ def test_vertex_cover_examples():
     assert compute_vertex_cover(complete_graph(4), 2) is None
     cover = compute_vertex_cover(complete_graph(4), 3)
     assert cover is not None and len(cover) == 3
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        compute_vertex_cover(path_graph(3), -1)
 
 
 def test_vertex_cover_against_exhaustive():

@@ -42,6 +42,11 @@ def test_template_validation():
         TypeTemplate(sizes=(2,), clique=(False,), edges=((0, 0),))
     with pytest.raises(ValueError):
         TypeTemplate(sizes=(1, 1), clique=(False, False), edges=((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match=r"template edge \(0, 2\) out of range"):
+        TypeTemplate(sizes=(1, 1), clique=(False, False), edges=((0, 2),))
+    for make_template in (random_template, sparse_template):
+        with pytest.raises(ValueError, match="at least one vertex per class"):
+            make_template(4, 3, 0)
 
 
 def test_generation_is_deterministic():
@@ -80,12 +85,22 @@ def test_sparse_template_stays_sparse():
     assert g.m <= 5000 * 16 + (6 * 16) ** 2
 
 
+def test_sparse_template_halves_small_classes_that_leave_no_room():
+    # 7 small classes of up to 16 vertices cannot fit in 10 vertices, so
+    # their sizes are halved until the large class keeps at least one
+    t = sparse_template(8, 10, seed=0)
+    assert t.num_types == 8 and t.num_vertices == 10
+    assert min(t.sizes) >= 1
+
+
 def test_random_instance_rejects_infeasible_requests():
     t = TypeTemplate(sizes=(3,), clique=(True,), edges=())
     with pytest.raises(ValueError, match="distinct vertices"):
         random_instance("paths", t, 0, num_pairs=2)
     with pytest.raises(ValueError, match="palette"):
         random_instance("motif", t, 0, colors=40)
+    with pytest.raises(ValueError, match="motif size 4 infeasible for 3 vertices"):
+        random_instance("motif", t, 0, motif_size=4)
     with pytest.raises(ValueError, match="unknown problem"):
         random_instance("hamilton", t, 0)
     for fraction in (-1, 1.01, float("nan")):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +10,20 @@ from ndsolve import (
     PrecolorInstance,
     complete_bipartite,
     complete_graph,
+    compute_type_partition,
+    cycle_graph,
     parse_instance,
     path_graph,
     serialize_instance,
+    validate_coloring_witness,
+    validate_motif_witness,
+    validate_paths_witness,
 )
 from ndsolve.generate import generate_from_template, random_template
+from ndsolve.instances import induced_connected
 from helpers import reference_from_edges
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def test_from_edges_builds_sorted_symmetric_adjacency():
@@ -135,6 +144,9 @@ def test_builders():
     assert path_graph(5).m == 4
     assert complete_bipartite(2, 3).m == 6
     assert complete_graph(0).n == 0
+    assert cycle_graph(5).adj == ((1, 4), (0, 2), (1, 3), (2, 4), (0, 3))
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        cycle_graph(2)
 
 
 def test_motif_instance_validation():
@@ -172,5 +184,95 @@ def test_precolor_instance_validation():
         PrecolorInstance(g, {0: 1, 1: 1}, 2)
     with pytest.raises(ValueError, match="out of range"):
         PrecolorInstance(g, {0: 3}, 2)
+    with pytest.raises(ValueError, match="precolored vertex 5 out of range"):
+        PrecolorInstance(g, {5: 1}, 2)
     with pytest.raises(ValueError, match="positive"):
         PrecolorInstance(g, {}, 0)
+
+
+def _check_witness(instance, witness):
+    """Run the validator of the instance's problem on ``witness``."""
+    if isinstance(instance, MotifInstance):
+        validate_motif_witness(instance, witness)
+    elif isinstance(instance, PathsInstance):
+        type_of = compute_type_partition(instance.graph).type_of
+        validate_paths_witness(instance, witness, type_of=type_of)
+    else:
+        validate_coloring_witness(instance, witness)
+
+
+# (corpus file, a valid witness or None, that witness broken one way, error)
+# motif-triangle-yes: a triangle colored 1, 2, 3 with motif {1, 2};
+# motif-generated-41: vertex 2 (color 2) has no edge, vertex 0 has color 3;
+# paths-clique-yes: K4, one clique type, pairs (0, 1) and (2, 3);
+# paths-star-no: a star around 0 with pairs (1, 2) and (3, 4), no witness;
+# precolor-triangle-yes: a triangle, 3 colors, vertex 0 pinned to 1.
+_BROKEN_WITNESSES = [
+    ("motif-triangle-yes.nd", (0, 1), (0, 0), "witness repeats a vertex"),
+    ("motif-triangle-yes.nd", (0, 1), (0, 3), "witness vertex 3 out of range"),
+    ("motif-triangle-yes.nd", (0, 1), (0, 2), "colors do not match the motif"),
+    ("motif-generated-41.nd", (0, 1), (0, 2), "induces a disconnected subgraph"),
+    (
+        "paths-clique-yes.nd",
+        ((0, 1), (2, 3)),
+        ((0, 1),),
+        "must contain one path per terminal pair",
+    ),
+    (
+        "paths-clique-yes.nd",
+        ((0, 1), (2, 3)),
+        ((1, 0), (2, 3)),
+        r"path for pair \(0, 1\) has wrong endpoints",
+    ),
+    (
+        "paths-clique-yes.nd",
+        ((0, 1), (2, 3)),
+        ((0, 2, 0, 1), (2, 3)),
+        "path repeats a vertex",
+    ),
+    ("paths-star-no.nd", None, ((1, 0, 2), (3, 4)), r"missing edge \(3, 4\)"),
+    (
+        "paths-clique-yes.nd",
+        ((0, 1), (2, 3)),
+        ((0, 2, 1), (2, 3)),
+        r"paths share vertices \[2\]",
+    ),
+    (
+        "paths-clique-yes.nd",
+        ((0, 1), (2, 3)),
+        ((0, 2, 3, 1), (2, 3)),
+        "two internal vertices of one type",
+    ),
+    (
+        "precolor-triangle-yes.nd",
+        (1, 2, 3),
+        (1, 2),
+        "must assign a color to every vertex",
+    ),
+    (
+        "precolor-triangle-yes.nd",
+        (1, 2, 3),
+        (2, 1, 3),
+        "does not keep precolor of vertex 0",
+    ),
+    (
+        "precolor-triangle-yes.nd",
+        (1, 2, 3),
+        (1, 2, 2),
+        r"edge \(1, 2\) is monochromatic",
+    ),
+]
+
+
+@pytest.mark.parametrize("corpus_file, valid, broken, match", _BROKEN_WITNESSES)
+def test_witness_validators_name_each_fault(corpus_file, valid, broken, match):
+    instance = parse_instance((DATA_DIR / corpus_file).read_text())
+    if valid is not None:
+        _check_witness(instance, valid)
+    with pytest.raises(ValueError, match=match):
+        _check_witness(instance, broken)
+
+
+def test_induced_connected_counts_the_empty_set_as_connected():
+    assert induced_connected(path_graph(3), [])
+    assert not induced_connected(path_graph(3), [0, 2])

@@ -43,6 +43,14 @@ def test_validation():
         IlpProblem(2, (0, 0), (1, 1), (LinearConstraint(((2, 1),), "=", 0),))
     with pytest.raises(ValueError, match="relation"):
         IlpProblem(1, (0,), (1,), (LinearConstraint((1,), ">=", 0),))
+    with pytest.raises(ValueError, match="variable count must be nonnegative"):
+        IlpProblem(-1, (), (), ())
+    with pytest.raises(ValueError, match="one lower and upper bound per variable"):
+        IlpProblem(2, (0, 0), (1,), ())
+    with pytest.raises(ValueError, match="bound exceeds the 32-bit magnitude guard"):
+        IlpProblem(1, (0,), (2**31,), ())
+    with pytest.raises(ValueError, match="right-hand side exceeds the 32-bit"):
+        IlpProblem(1, (0,), (1,), (equal((1,), 2**31),))
 
 
 @pytest.mark.parametrize(
@@ -62,6 +70,14 @@ def test_validation():
 def test_malformed_terms(terms, match):
     with pytest.raises(ValueError, match=match):
         IlpProblem(2, (0, 0), (1, 1), (LinearConstraint(terms, "<=", 1),))
+
+
+def test_satisfies_checks_bounds_and_equations_exactly():
+    problem = IlpProblem(2, (0, 1), (3, 3), (equal((1, 1), 4),))
+    assert satisfies(problem, (1, 3))
+    assert not satisfies(problem, (3, 0))  # x1 below its lower bound
+    assert not satisfies(problem, (1, 2))  # the "=" row falls one short
+    assert not satisfies(problem, (1,))
 
 
 def test_dense_constructors_keep_the_nonzero_terms():

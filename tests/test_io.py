@@ -111,6 +111,8 @@ def test_parse_paths_and_precolor():
         ),
         ("p graph 2\ncolors 2\ncolors 3\n", "line 3: duplicate 'colors' line"),
         ("p graph 2\npair 1 1\n", "line 2: terminal pair repeats vertex 1"),
+        ("", "missing 'p graph <n>' header"),
+        ("# a comment\n\n", "missing 'p graph <n>' header"),
     ],
 )
 def test_parse_errors(text, match):
@@ -133,6 +135,11 @@ def test_parse_error_carries_line_number():
 
 def test_serialize_single_vertex_graph():
     assert serialize_instance(Graph.from_edges(1, [])) == "p graph 1\n"
+
+
+def test_serialize_rejects_what_is_not_an_instance():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        serialize_instance(object())
 
 
 def test_round_trip_k23():

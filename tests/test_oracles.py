@@ -26,6 +26,8 @@ def test_motif_oracle_examples():
     # the two red vertices of the path are not adjacent
     no, none = oracle_motif(MotifInstance(path_graph(3), (1, 2, 1), (1, 1)))
     assert not no and none is None
+    # a motif larger than the graph has no witness
+    assert oracle_motif(MotifInstance(path_graph(2), (1, 1), (1, 1, 1))) == (False, None)
 
 
 def test_motif_oracle_size_guard():

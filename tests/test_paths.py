@@ -2,6 +2,8 @@ import random
 from collections import Counter
 from itertools import permutations
 
+import pytest
+
 from ndsolve import (
     Graph,
     PathsInstance,
@@ -156,6 +158,15 @@ def test_simplify_keeps_already_simple_paths():
     g = path_graph(4)
     partition = compute_type_partition(g)
     assert simplify_path(g, partition, [0, 1, 2, 3]) == (0, 1, 2, 3)
+
+
+def test_simplify_rejects_an_input_that_is_not_a_path():
+    g = path_graph(4)
+    partition = compute_type_partition(g)
+    with pytest.raises(ValueError, match="input path repeats a vertex"):
+        simplify_path(g, partition, [0, 1, 0])
+    with pytest.raises(ValueError, match=r"input path uses the missing edge \(1, 3\)"):
+        simplify_path(g, partition, [0, 1, 3])
 
 
 def test_simplify_shortcuts_repeated_clique_type():
