@@ -20,7 +20,7 @@ from .generate import (
 from .graphs import Graph
 from .ilp import format_problem
 from .instances import MotifInstance, PathsInstance, PrecolorInstance, SolveReport
-from .io import ParseError, parse_instance, serialize_instance
+from .io import MAX_VERTICES, ParseError, parse_instance, serialize_instance
 from .motif import MotifWitness, solve_motif
 from .oracles import SizeGuardError, oracle_motif, oracle_paths, oracle_precolor
 from .paths import PathsWitness, compile_paths, solve_paths
@@ -32,13 +32,22 @@ class _Problem(NamedTuple):
     solve: Callable
     oracle: Callable
     witness_type: type
+    compile: Callable | None  # instance -> (..., IlpProblem); None: no system
+    encode: Callable  # witness -> its JSON value, vertex ids 1-based
 
 
 _PROBLEMS = {
-    "motif": _Problem(MotifInstance, solve_motif, oracle_motif, MotifWitness),
-    "paths": _Problem(PathsInstance, solve_paths, oracle_paths, PathsWitness),
+    "motif": _Problem(
+        MotifInstance, solve_motif, oracle_motif, MotifWitness,
+        None, lambda w: [v + 1 for v in w.vertices],
+    ),
+    "paths": _Problem(
+        PathsInstance, solve_paths, oracle_paths, PathsWitness,
+        compile_paths, lambda w: [[v + 1 for v in path] for path in w.paths],
+    ),
     "precolor": _Problem(
-        PrecolorInstance, solve_precolor, oracle_precolor, ColoringWitness
+        PrecolorInstance, solve_precolor, oracle_precolor, ColoringWitness,
+        compile_precolor, lambda w: {str(v + 1): c for v, c in enumerate(w.colors)},
     ),
 }
 
@@ -54,41 +63,31 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _witness_json(witness):
-    if isinstance(witness, MotifWitness):
-        return [v + 1 for v in witness.vertices]
-    if isinstance(witness, PathsWitness):
-        return [[v + 1 for v in path] for path in witness.paths]
-    if isinstance(witness, ColoringWitness):
-        return {str(v + 1): c for v, c in enumerate(witness.colors)}
-    return witness
-
-
 def _emit_report(problem: str, report: SolveReport, args, check=None) -> None:
+    """Print ``report`` as JSON or as text, its numbers from
+    :meth:`SolveReport.stats` in their order."""
+    answer = "yes" if report.answer else "no"
+    stats = report.stats()
+    witness = None
+    if args.witness and report.witness is not None:
+        witness = _PROBLEMS[args.problem].encode(report.witness)
     if args.json:
         payload = {
             "problem": problem,
-            "answer": "yes" if report.answer else "no",
-            "stats": {
-                "nd": report.nd,
-                "elapsed_ms": round(report.elapsed_ms, 3),
-            },
+            "answer": answer,
+            "stats": {key: round(value, 3) for key, value in stats.items()},
         }
-        if report.ilp_vars is not None:
-            payload["stats"]["ilp_vars"] = report.ilp_vars
-        if args.witness and report.witness is not None:
-            payload["witness"] = _witness_json(report.witness)
+        if witness is not None:
+            payload["witness"] = witness
         if check is not None:
             payload["check"] = check
         print(json.dumps(payload))
         return
-    print(f"answer: {'yes' if report.answer else 'no'}")
-    print(f"nd: {report.nd}")
-    if report.ilp_vars is not None:
-        print(f"ilp_vars: {report.ilp_vars}")
-    print(f"elapsed_ms: {report.elapsed_ms:.3f}")
-    if args.witness and report.witness is not None:
-        print(f"witness: {json.dumps(_witness_json(report.witness))}")
+    print(f"answer: {answer}")
+    for key, value in stats.items():
+        print(f"{key}: {value:.3f}" if isinstance(value, float) else f"{key}: {value}")
+    if witness is not None:
+        print(f"witness: {json.dumps(witness)}")
     if check is not None:
         print(f"check: oracle={check['oracle_answer']} agree={check['agree']}")
 
@@ -150,8 +149,7 @@ def _cmd_solve(args) -> int:
     problem = _PROBLEMS[args.problem]
     instance = _load(args, args.problem)
     if getattr(args, "dump_ilp", False):
-        compile_ilp = compile_paths if args.problem == "paths" else compile_precolor
-        sys.stderr.write(format_problem(compile_ilp(instance)[-1]))
+        sys.stderr.write(format_problem(problem.compile(instance)[-1]))
     report = problem.solve(instance)
     check = None
     if args.check:
@@ -187,7 +185,16 @@ def _instance_params(args) -> dict:
     }
 
 
+def _check_vertex_counts(ns: list[int]) -> None:
+    """Refuse, before anything is generated, a vertex count that the parser
+    would refuse to read back."""
+    for n in ns:
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count exceeds the limit {MAX_VERTICES}: {n}")
+
+
 def _cmd_gen(args) -> int:
+    _check_vertex_counts([args.n])
     template = random_template(
         args.k, args.n, args.seed, edge_prob=args.edge_prob, clique_prob=args.clique_prob
     )
@@ -206,6 +213,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+BENCH_COLUMNS = ("problem", "k", "n", "seeds", "median_ms", "max_ms", "ilp_vars")
+
+
 def bench_cells(
     problem: str,
     ks: list[int],
@@ -214,45 +224,41 @@ def bench_cells(
     base_seed: int = 0,
     **params,
 ) -> list[dict]:
-    """Run the benchmark grid; one row per (k, n) cell.
+    """Run the benchmark grid; one row per (k, n) cell, keyed by
+    :data:`BENCH_COLUMNS`.
 
     Instance generation is deterministic per seed; ``params`` go to
     :func:`random_instance`.  Cells of 1000+ vertices use the sparse
     template so a fully-joined pair of huge classes cannot blow the edge
     count up quadratically.  Cells run one after another in one thread, so
-    no cell's time includes waiting on another.  A row's ``ilp_vars`` is
-    the largest over its seeds, as ``max_ms`` is.  Raises ``ValueError``
-    when ``seeds`` is below 1.
+    no cell's time includes waiting on another.  A row's times and
+    ``ilp_vars`` come from its seeds' :meth:`SolveReport.stats`; its
+    ``ilp_vars`` is the largest over its seeds, as ``max_ms`` is, and None
+    when no seed built a system.  Raises ``ValueError`` when ``seeds`` is
+    below 1.
     """
     if seeds < 1:
         raise ValueError(f"seed count must be positive: {seeds}")
     solve = _PROBLEMS[problem].solve
 
     def run_cell(k: int, n: int) -> dict:
-        times: list[float] = []
-        ilp_vars = None
+        per_seed = []
         for i in range(seeds):
             seed = base_seed + i
             make_template = sparse_template if n >= 1000 else random_template
             instance = random_instance(problem, make_template(k, n, seed), seed, **params)
-            report = solve(instance)
-            times.append(report.elapsed_ms)
-            if report.ilp_vars is not None:
-                ilp_vars = max(ilp_vars or 0, report.ilp_vars)
-        return {
-            "problem": problem,
-            "k": k,
-            "n": n,
-            "seeds": seeds,
-            "median_ms": round(statistics.median(times), 3),
-            "max_ms": round(max(times), 3),
-            "ilp_vars": ilp_vars,
-        }
+            per_seed.append(solve(instance).stats())
+        times = [stats["elapsed_ms"] for stats in per_seed]
+        sizes = [stats["ilp_vars"] for stats in per_seed if "ilp_vars" in stats]
+        median_ms, max_ms = round(statistics.median(times), 3), round(max(times), 3)
+        row = (problem, k, n, seeds, median_ms, max_ms, max(sizes, default=None))
+        return dict(zip(BENCH_COLUMNS, row))
 
     return [run_cell(k, n) for k in ks for n in ns]
 
 
 def _cmd_bench(args) -> int:
+    _check_vertex_counts(args.n)
     rows = bench_cells(
         args.problem,
         args.k,
@@ -264,12 +270,9 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(rows))
         return EXIT_OK
-    print("problem\tk\tn\tseeds\tmedian_ms\tmax_ms\tilp_vars")
+    print("\t".join(BENCH_COLUMNS))
     for row in rows:
-        print(
-            f"{row['problem']}\t{row['k']}\t{row['n']}\t{row['seeds']}\t"
-            f"{row['median_ms']}\t{row['max_ms']}\t{row['ilp_vars']}"
-        )
+        print("\t".join(str(row[column]) for column in BENCH_COLUMNS))
     return EXIT_OK
 
 
@@ -314,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     nd.add_argument("--json", action="store_true")
     nd.set_defaults(handler=_cmd_nd)
 
-    for name in _PROBLEMS:
+    for name, problem in _PROBLEMS.items():
         sub = subs.add_parser(name, help=f"solve a {name} instance")
-        _add_io_args(sub, check=True, dump_ilp=name != "motif")
+        _add_io_args(sub, check=True, dump_ilp=problem.compile is not None)
         sub.set_defaults(handler=_cmd_solve, problem=name)
 
     oracle = subs.add_parser("oracle", help="run a brute-force decider")

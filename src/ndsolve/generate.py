@@ -104,11 +104,11 @@ def random_template(
 ) -> TypeTemplate:
     """Random template: random composition of n, random flags and class edges.
 
-    Raises ``ValueError`` for too few vertices and for a probability outside
-    [0, 1] (NaN included).
+    Raises ``ValueError``, ending with the value at fault, for a class count
+    outside 1..n and for a probability outside [0, 1] (NaN included).
     """
-    if num_types < 1 or n < num_types:
-        raise ValueError("need at least one vertex per class")
+    if not 1 <= num_types <= n:
+        raise ValueError(f"need at least one vertex per class, 1..{n} classes: {num_types}")
     for name, prob in (("edge", edge_prob), ("clique", clique_prob)):
         if not 0 <= prob <= 1:
             raise ValueError(f"{name} probability must be in [0, 1]: {prob}")
@@ -132,10 +132,11 @@ def sparse_template(num_types: int, n: int, seed: int, cap: int = 16) -> TypeTem
     One large independent class absorbs most vertices and attaches to a
     chain of small classes, so the edge count is O(n * cap) instead of the
     quadratic blowup a large fully-joined class pair would cause.  Useful
-    for scaling runs.
+    for scaling runs.  Raises ``ValueError``, ending with the class count,
+    when that is outside 1..n.
     """
-    if num_types < 1 or n < num_types:
-        raise ValueError("need at least one vertex per class")
+    if not 1 <= num_types <= n:
+        raise ValueError(f"need at least one vertex per class, 1..{n} classes: {num_types}")
     rng = random.Random(seed)
     small = [1 + rng.randrange(cap) for _ in range(num_types - 1)]
     while sum(small) >= n:  # ends by n >= num_types once every size is 1

@@ -106,6 +106,8 @@ class SolveReport:
 
     Every solver, and the CLI's oracle command, builds its report through
     :meth:`finish`, so the answer is yes exactly when a witness was found.
+    Its numbers reach the CLI's reports and ``ndsolve bench`` through
+    :meth:`stats` alone.
     """
 
     answer: bool
@@ -123,6 +125,15 @@ class SolveReport:
         not None."""
         elapsed = (time.perf_counter() - start) * 1000.0
         return cls(witness is not None, nd, elapsed, witness, ilp_vars)
+
+    def stats(self) -> dict[str, int | float]:
+        """The report's numbers in print order: ``nd``, then ``ilp_vars``
+        only when an integer system was built, then ``elapsed_ms``."""
+        stats: dict[str, int | float] = {"nd": self.nd}
+        if self.ilp_vars is not None:
+            stats["ilp_vars"] = self.ilp_vars
+        stats["elapsed_ms"] = self.elapsed_ms
+        return stats
 
 
 def induced_connected(graph: Graph, vertices: Iterable[int]) -> bool:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, groupby, repeat
 from typing import Iterator, Sequence
 
 from .decomposition import (
@@ -160,42 +161,45 @@ def build_paths_ilp(
 ) -> tuple[IlpProblem, tuple[PathCategory, ...]]:
     """Category count variables plus the demand and capacity constraints.
 
-    One category per minimal chain of each demanded endpoint-type pair.
-    Demands: per normalized endpoint-type pair, category counts sum to the
-    number of terminal pairs with those endpoint types.  Capacities: per
-    type, the categories routed through it sum to at most the type size
+    One category per minimal chain of each demanded endpoint-type pair, in
+    sorted pair order.  Demands: per normalized endpoint-type pair, category
+    counts sum to the number of terminal pairs with those endpoint types,
+    which is also each count's upper bound.  Capacities: per type, the
+    categories routed through it sum to at most its pool, the type size
     minus its terminal vertices (terminals are fixed, named vertices; they
     are excluded from every pool rather than double-counted).  A chain uses
     a type at most once, so the demand rows already hold the categories
-    through a type to the number of pairs; a type gets its row only when
-    its pool is smaller than that.
+    through a type to the number of pairs.  Which types can run out (pool
+    below the pair count) is decided before the chain walk, which lists the
+    categories through those types alone; each that some chain passes gets
+    its row, in type order.
     """
-    k = partition.num_types
     type_of = partition.type_of
     demand: Counter = Counter()
     for s, t in instance.pairs:
         a, b = sorted((type_of[s], type_of[t]))
         demand[(a, b)] += 1
     terminals_in: Counter = Counter(type_of[v] for v in instance.terminals())
+    pool = [size - terminals_in[t] for t, size in enumerate(type_graph.size)]
+    scarce = {t: [] for t in range(partition.num_types) if pool[t] < len(instance.pairs)}
 
     categories: list[PathCategory] = []
-    through: list[list[int]] = [[] for _ in range(k)]  # type -> its categories
     constraints = []
-    for a, b in sorted(demand):
+    for (a, b), count in sorted(demand.items()):
         first = len(categories)
-        for chain in minimal_chains(type_graph, a, b):
-            for t in chain:
-                through[t].append(len(categories))
-            categories.append(PathCategory(a, b, chain))
+        for route in minimal_chains(type_graph, a, b):
+            for t in route:
+                if t in scarce:
+                    scarce[t].append(len(categories))
+            categories.append(PathCategory(a, b, route))
         row = tuple((i, 1) for i in range(first, len(categories)))
-        constraints.append(LinearConstraint(row, "=", demand[(a, b)]))
-    for t in range(k):
-        capacity = type_graph.size[t] - terminals_in[t]
-        if through[t] and capacity < len(instance.pairs):
-            row = tuple((i, 1) for i in through[t])
-            constraints.append(LinearConstraint(row, "<=", capacity))
+        constraints.append(LinearConstraint(row, "=", count))
+    upper = tuple(demand_row.rhs for demand_row in constraints for _ in demand_row.terms)
+    for t, through in scarce.items():
+        if through:
+            row = tuple((i, 1) for i in through)
+            constraints.append(LinearConstraint(row, "<=", pool[t]))
     num_vars = len(categories)
-    upper = tuple(demand[(cat.start_type, cat.end_type)] for cat in categories)
     problem = IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
     return problem, tuple(categories)
 
@@ -208,12 +212,15 @@ def reconstruct_paths(
 ) -> PathsWitness:
     """Turn feasible category counts into concrete disjoint paths.
 
-    Pairs are processed in input order, categories are handed out in
-    compile order, and each chain type contributes its lowest unused
-    non-terminal vertex, so reconstruction is deterministic.  A chain runs
-    from the lower endpoint type, so it is walked backwards for a pair
-    whose source has the higher type.  The capacity constraints guarantee
-    the pools never run dry.
+    Pairs are processed in input order, and each chain type contributes its
+    lowest unused non-terminal vertex, so reconstruction is deterministic.
+    ``categories`` come grouped by endpoint types, as
+    :func:`build_paths_ilp` lists them; each endpoint-type pair gets one
+    iterator that hands out its categories' chains in that order, each as
+    many times as its count, and a terminal pair draws the next chain of
+    its endpoint types.  A chain runs from the lower endpoint type, so it
+    is walked backwards for a pair whose source has the higher type.  The
+    capacity constraints guarantee the pools never run dry.
     """
     type_of = partition.type_of
     terminal_set = set(instance.terminals())
@@ -221,24 +228,21 @@ def reconstruct_paths(
         t: iter(v for v in partition.classes[t] if v not in terminal_set)
         for t in range(partition.num_types)
     }
-
-    queues: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for cat, count in zip(categories, counts):
-        key = (cat.start_type, cat.end_type)
-        queues.setdefault(key, []).extend([cat.chain] * count)
+    draws = {
+        ends: chain.from_iterable([repeat(cat.chain, n) for cat, n in group if n])
+        for ends, group in groupby(
+            zip(categories, counts), lambda item: (item[0].start_type, item[0].end_type)
+        )
+    }
 
     paths: list[tuple[int, ...]] = []
-    cursor: Counter = Counter()
     for s, t in instance.pairs:
-        key = tuple(sorted((type_of[s], type_of[t])))
-        chains = queues.get(key, [])
-        assert cursor[key] < len(chains), "category counts do not cover the pairs"
-        chain = chains[cursor[key]]
-        cursor[key] += 1
+        route = next(draws[tuple(sorted((type_of[s], type_of[t])))], None)
+        assert route is not None, "category counts do not cover the pairs"
         if type_of[s] > type_of[t]:
-            chain = chain[::-1]
+            route = route[::-1]
         verts = [s]
-        for ct in chain:
+        for ct in route:
             v = next(pools[ct], None)
             assert v is not None, "vertex pool exhausted despite capacity limits"
             verts.append(v)

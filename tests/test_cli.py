@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ndsolve import solve_precolor
-from ndsolve.cli import bench_cells, run
+from ndsolve.cli import BENCH_COLUMNS, bench_cells, run
 from ndsolve.generate import random_instance, random_template
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -209,6 +209,29 @@ def test_bench_empty_suite(capsys):
     assert run(["bench", "--problem", "motif", "--k", "", "--n", "10"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 1  # header only
+    assert out[0].split("\t") == list(BENCH_COLUMNS)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["solve", "oracle"])
+@pytest.mark.parametrize(
+    "corpus_file", sorted(DATA_DIR.glob("*.nd")), ids=lambda p: p.name
+)
+def test_text_and_json_stats_agree(corpus_file, oracle, capsys):
+    # both reports print SolveReport.stats() in its order: nd, ilp_vars when
+    # a system was built (never for motif or an oracle), elapsed_ms
+    problem = corpus_file.name.split("-")[0]
+    argv = [*(["oracle"] if oracle else []), problem, "--input", str(corpus_file)]
+    assert run(argv) == 0
+    _, *lines = capsys.readouterr().out.splitlines()
+    assert run([*argv, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    text = dict(line.split(": ") for line in lines)
+    built = not oracle and problem != "motif"
+    keys = ["nd", "ilp_vars", "elapsed_ms"] if built else ["nd", "elapsed_ms"]
+    assert list(text) == list(stats) == keys
+    for key in keys[:-1]:
+        assert int(text[key]) == stats[key]
+    assert re.fullmatch(r"\d+\.\d{3}", text["elapsed_ms"])
 
 
 @pytest.mark.parametrize(
@@ -241,6 +264,14 @@ BENCH_CELL = ["bench", "--problem", "paths", "--k", "2", "--n", "16"]
         ([*BENCH_CELL, "--pairs", "-1"], "-1"),
         (["gen", "motif", "--colors", "0"], "0"),
         (["gen", "precolor", "--num-colors", "17"], "17"),
+        (["gen", "graph", "--k", "5", "--n", "4"], "5"),
+        (["gen", "graph", "--k", "0"], "0"),
+        # refused before generation: the parser would refuse the file, and
+        # a far larger count would allocate per vertex before any check
+        (["gen", "graph", "--k", "1", "--n", "1000001", "--clique-prob", "0",
+          "--edge-prob", "0"], "1000001"),
+        (["bench", "--problem", "paths", "--k", "1", "--n", "1000001", "--seeds", "1",
+          "--pairs", "0"], "1000001"),
     ],
 )
 def test_out_of_range_generator_values_exit_2(argv, value, capsys):
@@ -263,6 +294,7 @@ def test_bench_json(capsys):
     ]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 1
+    assert list(rows[0]) == list(BENCH_COLUMNS)
     assert rows[0]["ilp_vars"] is not None
 
 

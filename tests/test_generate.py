@@ -47,6 +47,9 @@ def test_template_validation():
     for make_template in (random_template, sparse_template):
         with pytest.raises(ValueError, match="at least one vertex per class"):
             make_template(4, 3, 0)
+        for num_types, n in ((4, 3), (0, 3), (-1, 0)):
+            with pytest.raises(ValueError, match=rf"1\.\.{n} classes: {num_types}$"):
+                make_template(num_types, n, 0)
 
 
 def test_generation_is_deterministic():

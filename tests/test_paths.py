@@ -21,7 +21,7 @@ from ndsolve import (
     solve_paths,
     validate_paths_witness,
 )
-from ndsolve.paths import build_paths_ilp, minimal_chains
+from ndsolve.paths import build_paths_ilp, minimal_chains, reconstruct_paths
 from ndsolve.ilp import solve_feasibility
 from helpers import (
     random_labeled_graph,
@@ -268,6 +268,25 @@ def test_multi_type_chain_walked_against_normalized_order():
     report = solve_paths(PathsInstance(path_graph(4), ((3, 0),)))
     assert report.answer
     assert report.witness.paths == ((3, 2, 1, 0),)
+
+
+def test_one_endpoint_pair_hands_out_its_chains_in_both_orientations():
+    # types 0 = {0, 1} and 1 = {2, 3} meet through x = 4 (type 2) or through
+    # y = 5 then z = 6 (types 3, 4); each middle type has one vertex, so
+    # the two pairs take one chain each, in compile order, and the pair
+    # whose source is in type 1 walks its chain backwards
+    edges = [(0, 4), (1, 4), (2, 4), (3, 4), (0, 5), (1, 5), (5, 6), (6, 2), (6, 3)]
+    g = Graph.from_edges(7, edges)
+    partition, h = _decomposed(g)
+    for pairs, paths in (
+        (((0, 2), (3, 1)), ((0, 4, 2), (3, 6, 5, 1))),
+        (((3, 1), (0, 2)), ((3, 4, 1), (0, 5, 6, 2))),
+    ):
+        inst = PathsInstance(g, pairs)
+        _, categories = build_paths_ilp(inst, partition, h)
+        assert [cat.chain for cat in categories] == [(2,), (3, 4)]
+        assert reconstruct_paths(inst, partition, categories, (1, 1)).paths == paths
+        assert solve_paths(inst).witness.paths == paths
 
 
 def test_large_k_compiles_a_small_system():
