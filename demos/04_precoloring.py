@@ -6,7 +6,9 @@ distributional: group colors by where the input pins them, decide how many
 colors of each group go to each maximal set of pairwise non-adjacent
 classes, ask every class that is not frozen for the colors it needs (one
 per vertex of a clique, one for an independent class), and solve the
-resulting integer system.
+resulting integer system.  A class whose neighbours leave it enough colors
+whatever they get is peeled first: it asks for nothing and is colored
+greedily at the end.
 
 Run with: python3 demos/04_precoloring.py
 """
@@ -63,8 +65,9 @@ report = solve_precolor(inst3)
 print("K_4 with two pins, budget 6:", "yes" if report.answer else "no",
       "->", list(report.witness.colors))
 
-# Interchangeability at work: 40 interchangeable colors, classes of
-# hundreds of vertices, still a handful of count variables.
+# Peeling at work: the middle class needs one color, and its neighbours
+# hold at most two of the 40, so the greedy bound colors it and no count
+# variable is built, however large the classes are.
 blocks = Graph.from_edges(
     300,
     [(u, v) for u in range(100) for v in range(100, 200)]

@@ -185,16 +185,25 @@ def _instance_params(args) -> dict:
     }
 
 
-def _check_vertex_counts(ns: list[int]) -> None:
-    """Refuse, before anything is generated, a vertex count that the parser
-    would refuse to read back."""
+# the templates draw one random number per class pair, so their work grows
+# with the square of the class count
+MAX_CLASSES = 10**4
+
+
+def _check_sizes(ks: list[int], ns: list[int]) -> None:
+    """Refuse, before anything is drawn, a class count past
+    :data:`MAX_CLASSES` or a vertex count that the parser would refuse to
+    read back."""
+    for k in ks:
+        if k > MAX_CLASSES:
+            raise ValueError(f"class count exceeds the limit {MAX_CLASSES}: {k}")
     for n in ns:
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count exceeds the limit {MAX_VERTICES}: {n}")
 
 
 def _cmd_gen(args) -> int:
-    _check_vertex_counts([args.n])
+    _check_sizes([args.k], [args.n])
     template = random_template(
         args.k, args.n, args.seed, edge_prob=args.edge_prob, clique_prob=args.clique_prob
     )
@@ -258,7 +267,7 @@ def bench_cells(
 
 
 def _cmd_bench(args) -> int:
-    _check_vertex_counts(args.n)
+    _check_sizes(args.k, args.n)
     rows = bench_cells(
         args.problem,
         args.k,

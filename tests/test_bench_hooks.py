@@ -3,7 +3,7 @@
 ``perfbench/tracing.py`` replaces solver attributes by name, so a rename
 or removal under ``src`` would only surface when ``perfbench/run.py
 --trace 1`` installs it.  These tests load the tracer by path, check each
-hooked attribute, and run one corpus solve per problem under it.
+hooked attribute, and run corpus solves of every problem under it.
 """
 
 import importlib
@@ -17,11 +17,14 @@ from ndsolve.graphs import Graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (solver module, solver, corpus file) for one yes-instance per problem
+# (solver module, solver, corpus file) for one yes-instance per problem; the
+# triangle peels fully and builds no system, so a second precolor instance,
+# whose hub does not peel, keeps ``precolor.subcategories`` counting
 SOLVES = (
     ("ndsolve.motif", "solve_motif", "motif-triangle-yes.nd"),
     ("ndsolve.paths", "solve_paths", "paths-clique-yes.nd"),
     ("ndsolve.precolor", "solve_precolor", "precolor-triangle-yes.nd"),
+    ("ndsolve.precolor", "solve_precolor", "precolor-unpeeled-yes.nd"),
 )
 
 

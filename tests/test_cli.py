@@ -272,6 +272,8 @@ BENCH_CELL = ["bench", "--problem", "paths", "--k", "2", "--n", "16"]
           "--edge-prob", "0"], "1000001"),
         (["bench", "--problem", "paths", "--k", "1", "--n", "1000001", "--seeds", "1",
           "--pairs", "0"], "1000001"),
+        # one random number per class pair: refused before the template
+        (["gen", "graph", "--k", "10001", "--n", "20000", "--edge-prob", "0"], "10001"),
     ],
 )
 def test_out_of_range_generator_values_exit_2(argv, value, capsys):

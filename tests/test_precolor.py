@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -20,8 +21,11 @@ from ndsolve.ilp import solve_feasibility
 from ndsolve.decomposition import TypeGraph, mask_members
 from ndsolve.precolor import (
     build_precolor_ilp,
+    compile_precolor,
     compute_color_categories,
     maximal_cliques,
+    peel_types,
+    pinned_colors,
 )
 from ndsolve.generate import random_instance, random_template
 from helpers import reference_reduced_instance, small_sweep_instance
@@ -353,9 +357,14 @@ def _matching_instance(k):
 
 
 def test_perfect_matching_compiles_one_subcategory_per_category():
-    report = solve_precolor(_matching_instance(6))
+    inst = _matching_instance(6)
+    frozen, partition, h = _reduced(inst)
+    problem, _ = build_precolor_ilp(frozen, compute_color_categories(inst, partition), h)
+    assert problem.num_vars == 2
+    # every edge type peels, so the solver builds no system at all
+    report = solve_precolor(inst)
     assert report.nd == 6
-    assert report.ilp_vars == 2
+    assert report.ilp_vars == 0
     assert report.answer
     inst = _matching_instance(60)
     report = solve_precolor(inst)
@@ -432,3 +441,150 @@ def test_witness_outside_the_budget_names_its_first_vertex():
         with pytest.raises(ValueError, match=f"^vertex {v} colored outside 1..2$"):
             validate_coloring_witness(inst, colors)
     validate_coloring_witness(PrecolorInstance(Graph.from_edges(0, []), {}, 1), ())
+
+
+def _peel(inst):
+    """The frozen types, the partition, the type graph and the peel order."""
+    frozen, partition, h = _reduced(inst)
+    pinned = pinned_colors(inst, partition.type_of, partition.num_types)
+    return frozen, partition, h, peel_types(h, frozen, pinned, inst.num_colors)
+
+
+def _reference_peel(h, frozen, pinned, budget):
+    """The peel order by its definition: passes over the active types,
+    lowest first, re-summing each load, until a pass peels nothing."""
+    need = [s if q else 1 for s, q in zip(h.size, h.clique_flag)]
+    weight = [len(pinned.get(t, ())) if t in frozen else need[t] for t in range(h.num_types)]
+    order = []
+    while True:
+        before = len(order)
+        for t in range(h.num_types):
+            if t in frozen or t in order:
+                continue
+            if budget - sum(weight[u] for u in h.adj[t]) >= need[t]:
+                order.append(t)
+                weight[t] = len(pinned.get(t, ()))
+        if len(order) == before:
+            return tuple(order)
+
+
+def test_peel_order_follows_the_passes():
+    # random type graphs, frozen sets, pins and budgets; a type that a later
+    # peel makes ready waits for the next pass when its id is lower
+    rng = random.Random(2801)
+    later_pass = 0
+    for _ in range(1000):
+        k = rng.randint(1, 10)
+        density = rng.random()
+        adj = [set() for _ in range(k)]
+        for a, b in combinations(range(k), 2):
+            if rng.random() < density:
+                adj[a].add(b)
+                adj[b].add(a)
+        size = tuple(rng.randint(1, 4) for _ in range(k))
+        clique = tuple(size[t] > 1 and rng.random() < 0.5 for t in range(k))
+        h = TypeGraph(k, tuple(tuple(sorted(row)) for row in adj), size, clique)
+        frozen = frozenset(t for t in range(k) if not clique[t] and rng.random() < 0.4)
+        pinned = {}
+        for t in range(k):
+            most = size[t] if clique[t] else 3 * (t in frozen)
+            colors = rng.sample(range(1, 9), rng.randint(t in frozen, most))
+            if colors:
+                pinned[t] = set(colors)
+        budget = rng.randint(1, 8)
+        order = peel_types(h, frozen, pinned, budget)
+        assert order == _reference_peel(h, frozen, pinned, budget)
+        later_pass += list(order) != sorted(order)
+    assert later_pass > 20
+
+
+def _mixed_sweep(seeds):
+    # 12-vertex instances, within the oracle's reach, on which some active
+    # types peel and others keep their covering rows
+    for s in seeds:
+        k = 3 + s % 5
+        template = random_template(k, 12, s, edge_prob=0.6)
+        yield random_instance(
+            "precolor",
+            template,
+            s,
+            num_colors=3 + s % 4,
+            precolor_fraction=0.1 + (s % 4) / 10,
+        )
+
+
+def test_peeling_agrees_with_the_oracle():
+    mixed_yes = 0
+    for inst in _mixed_sweep(range(3000)):
+        report = solve_precolor(inst)
+        assert report.answer == oracle_precolor(inst)[0]
+        if not report.answer:
+            continue
+        validate_coloring_witness(inst, report.witness.colors)
+        frozen, partition, _, order = _peel(inst)
+        if 0 < len(order) < partition.num_types - len(frozen):
+            mixed_yes += 1
+    assert mixed_yes >= 50
+
+
+def test_dropping_peeled_rows_keeps_feasibility():
+    # the covering rows of the peeled types never decide feasibility; with
+    # every active type peeled, the category equations alone hold
+    rng = random.Random(2802)
+    mixed = full = 0
+    for _ in range(400):
+        k = rng.randint(1, 9)
+        template = random_template(
+            k, rng.randint(k, 24), rng.getrandbits(32), edge_prob=rng.random()
+        )
+        inst = random_instance(
+            "precolor",
+            template,
+            rng.getrandbits(32),
+            num_colors=rng.randint(1, 12),
+            precolor_fraction=rng.random(),
+        )
+        frozen, partition, h, order = _peel(inst)
+        if not order:
+            continue
+        cats = compute_color_categories(inst, partition)
+        reduced, _ = build_precolor_ilp(frozen, cats, h, frozenset(order))
+        full_system, _ = build_precolor_ilp(frozen, cats, h)
+        feasible = solve_feasibility(reduced) is not None
+        assert feasible == (solve_feasibility(full_system) is not None)
+        if len(order) + len(frozen) == h.num_types:
+            assert feasible
+            assert all(c.relation == "=" for c in reduced.constraints)
+            full += 1
+        else:
+            mixed += 1
+    assert mixed > 40 and full > 40
+
+
+def test_fully_peeled_probe_builds_no_system():
+    # 30 template classes, 16 colors: every active type peels, where the
+    # search over the full system ran past 30 s
+    template = random_template(30, 45, 0, edge_prob=0.5)
+    inst = random_instance("precolor", template, 0, num_colors=16, precolor_fraction=0.2)
+    start = time.perf_counter()
+    report = solve_precolor(inst)
+    assert time.perf_counter() - start < 1
+    assert report.answer
+    assert report.ilp_vars == 0
+    validate_coloring_witness(inst, report.witness.colors)
+    compiled = compile_precolor(inst)
+    assert compiled.categories == () and compiled.subcats == ()
+    assert compiled.problem.num_vars == 0 and compiled.problem.constraints == ()
+
+
+def test_peeled_neighbours_count_their_pinned_colors():
+    # the clique {0, 1} is pinned to 2 and 3 and peels; the frozen vertex 2
+    # holds 1.  Vertex 3 sees all three colors, so weighing the peeled
+    # clique at 0 would peel vertex 3 and answer yes
+    graph = Graph.from_edges(4, [(0, 1), (0, 3), (1, 3), (2, 3)])
+    inst = PrecolorInstance(graph, {0: 2, 1: 3, 2: 1}, 3)
+    frozen, partition, _, order = _peel(inst)
+    assert order == (partition.type_of[0],)
+    assert partition.type_of[3] not in frozen
+    assert not solve_precolor(inst).answer
+    assert not oracle_precolor(inst)[0]
