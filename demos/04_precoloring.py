@@ -2,13 +2,14 @@
 
 Independent classes reduce by type first (a pinned color floods its class,
 a fully uncolored class needs one color).  The remaining question is
-distributional: group colors by where the input pins them, decide how many
-colors of each group go to each maximal set of pairwise non-adjacent
-classes, ask every class that is not frozen for the colors it needs (one
-per vertex of a clique, one for an independent class), and solve the
-resulting integer system.  A class whose neighbours leave it enough colors
-whatever they get is peeled first: it asks for nothing and is colored
-greedily at the end.
+distributional.  First, a class whose neighbours leave it enough colors
+whatever they get is peeled.  Frozen and peeled classes are *settled*:
+they leave the integer system entirely and are colored at the end, a
+peeled class greedily.  Then group colors by where the input pins them,
+decide how many colors of each group go to each maximal set of pairwise
+non-adjacent open classes, ask every open class for the colors it needs
+(one per vertex of a clique, one for an independent class), and solve the
+resulting integer system.
 
 Run with: python3 demos/04_precoloring.py
 """
@@ -21,7 +22,7 @@ from ndsolve import (
     reduce_independent_types,
     solve_precolor,
 )
-from ndsolve.precolor import compute_color_categories
+from ndsolve.precolor import compute_color_categories, pinned_colors
 
 # A 4-cycle with opposite corners pinned to different colors cannot be
 # finished with 2 colors; the free corners neighbor both pinned ones.
@@ -42,7 +43,8 @@ fan = Graph.from_edges(7, [(v, 6) for v in range(6)])
 for pins, budget in (({0: 4}, 4), ({}, 2)):
     inst = PrecolorInstance(fan, pins, budget)
     partition = compute_type_partition(fan)
-    frozen = reduce_independent_types(inst, partition)
+    type_pins = pinned_colors(inst, partition.type_of, partition.num_types)
+    frozen = reduce_independent_types(type_pins, partition)
     type_graph = build_type_graph(fan, partition)
     needs = {
         t: type_graph.size[t] if type_graph.clique_flag[t] else 1
@@ -58,7 +60,9 @@ for pins, budget in (({0: 4}, 4), ({}, 2)):
 # them among the maximal occupancy patterns.
 k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 inst3 = PrecolorInstance(k4, {0: 2, 1: 5}, 6)
-for category in compute_color_categories(inst3, compute_type_partition(k4)):
+k4_partition = compute_type_partition(k4)
+k4_pins = pinned_colors(inst3, k4_partition.type_of, k4_partition.num_types)
+for category in compute_color_categories(inst3, k4_pins):
     where = sorted(category.type_set) or "nowhere"
     print(f"   colors {category.colors} pinned in {where}")
 report = solve_precolor(inst3)
@@ -66,8 +70,9 @@ print("K_4 with two pins, budget 6:", "yes" if report.answer else "no",
       "->", list(report.witness.colors))
 
 # Peeling at work: the middle class needs one color, and its neighbours
-# hold at most two of the 40, so the greedy bound colors it and no count
-# variable is built, however large the classes are.
+# hold at most two of the 40, so the greedy bound colors it.  Every class
+# is then settled, and no count variable is built, however large the
+# classes are.
 blocks = Graph.from_edges(
     300,
     [(u, v) for u in range(100) for v in range(100, 200)]

@@ -6,76 +6,75 @@ among them, so a color pinned on one of them fits all of them: such a type
 is *frozen*, its open vertices take its lowest pinned color and no other
 color has to reach it.  An independent type with nothing pinned needs a
 single color, which all its vertices share.  Clique types are untouched.
-:func:`reduce_independent_types` reads the frozen types off the pinned
-vertices alone; every other type is "active".
+:func:`pinned_colors` reads the pins once, and
+:func:`reduce_independent_types` reads the frozen types off them; every
+other type is "active".
 
-Colors are then grouped by where the input pins them: a category collects
-the colors precolored in the same set of types.  The colors nobody pinned
-are interchangeable and a coloring uses at most n of them, so their
-category lists at most n colors, never the whole budget.  Each color of a
-category is routed to a subcategory, a set of types that contains the
-category's types, adds no frozen type (it needs no further color) and
-holds no adjacent type pair (a color shared across a fully-joined pair
-would sit on an edge).  Only the maximal such sets are needed, and one
-count variable per subcategory gives a small integer system:
+Then :func:`peel_types` takes out the active types that the greedy bound
+along a degeneracy order (Szekeres & Wilf, 1968) colors whatever the rest
+of the coloring is.  A class ends up with at most ub(u) colors: its size
+for a clique, 1 for an unpinned independent class, its count of pinned
+colors for a frozen one.  An active type t *peels* when
+r - sum(w(u) for u in N_H(t)) >= need(t), where w(u) is ub(u) while u is
+unpeeled and u's count of pinned colors once u has peeled.  Peeling only
+lowers the loads, so a type that can peel stays able to, and every order
+of peeling reaches the same set of peeled types.  The frozen types, then
+the peeled ones in peel order, are the *settled* types; the others are
+*open*.  Settled types are colored last, in reverse order.  So when a
+peeled type t's turn comes, every neighbour that is open or peeled after t
+holds its final colors, at most ub(u) of them.  A neighbour settled before
+t holds only its pins, and those pinned colors are what w counts for it:
+leaving them out would call some no-instances colorable.  Hence t's
+neighbours hold at most sum(w) colors, and at least need(t) colors within
+the budget stay free for t's open vertices.  This holds for any order in
+which each type meets the rule at its turn.
+
+Colors are grouped by where the input pins them: a category collects the
+colors precolored in the same set of types.  The colors nobody pinned are
+interchangeable and a coloring uses at most n of them, so their category
+lists at most n colors, never the whole budget.  Each color of a category
+is routed to a subcategory, a set of types that contains the category's
+types, adds only open types and holds no adjacent type pair (a color
+shared across a fully-joined pair would sit on an edge).  Only the
+maximal such sets are needed, and one count variable per subcategory
+gives a small integer system:
 
 * per category, its subcategory counts sum to the category's color count;
-* per active type that does not peel (below), the subcategories
-  containing it sum to at least its need: the type size for a clique, 1
-  for an independent type.
+* per open type, the subcategories containing it sum to at least its need:
+  the type size for a clique, 1 for an independent type.
 
 The covering rows make maximal sets enough.  A coloring that extends the
-input puts each color on an independent set of types; enlarging that set
-to a maximal one only adds types to the rows, and an active type carries
-at least its need in distinct colors, so every row still holds.
-Conversely, a feasible count table routes at least need(t) colors to each
-active type t with a row; its pinned colors already sit on their
+input puts each color on an independent set of types; its open part
+together with the category's types lies in a maximal subcategory, which
+only adds types to the rows, and an open type carries at least its need
+in distinct colors, so every row still holds.  Settled types read no row,
+so leaving them out of the subcategories loses no feasible count table: a
+yes stays a yes.  Conversely, a feasible count table routes at least
+need(t) colors to each open type t; its pinned colors already sit on their
 vertices, the lowest other routed colors fill the open vertices and any
-surplus color is simply left off t.  Two uses of one color always lie in
-one independent set of types, so the result is proper.  Frozen types are
-left out of the per-type rows; their adjacency constraints still apply
-through the categories.  A frozen type needs no fill of its own: no
-subcategory adds one, so no neighbour is routed a color pinned in it, and
-its open vertices take its lowest pinned color.
+surplus color is simply left off t.  Two uses of one routed color always
+lie in one independent set of types, and no subcategory holds a neighbour
+of a type the color is pinned in, so no open type takes a color pinned
+next to it.  The settled types are then colored as above: a no stays a no.
 
-Before any of this is built, :func:`peel_types` takes out the active
-types that the greedy bound along a degeneracy order (Szekeres & Wilf,
-1968) colors whatever the rest of the coloring is.  A class ends up with
-at most ub(u) colors: its size for a clique, 1 for an unpinned
-independent class, its count of pinned colors for a frozen one.  An
-active type t *peels* when r - sum(w(u) for u in N_H(t)) >= need(t),
-where w(u) is ub(u) while u is unpeeled and u's count of pinned colors
-once u has peeled; this repeats to a fixpoint, lowest type first in each
-pass.  Peeled types are colored last, in reverse peel order.  So when t's
-turn comes, every neighbour that peeled after t, or never peeled, holds
-its final colors, at most ub(u) of them.  A neighbour that peeled before
-t is still uncolored apart from its pins, and those pinned colors are
-what w counts for it: leaving them out would call some no-instances
-colorable.  Hence t's neighbours hold at most sum(w) colors, and at least
-need(t) colors within the budget stay free for t's open vertices.
-
-A peeled type gets no covering row.  Dropping rows only loosens the
-system, so a no stays a no, and by the argument above any feasible count
-table of the smaller system extends to a full coloring.  When every
-active type peels, the category equations alone remain, and they always
-hold: each category with colors has a subcategory, if only its own type
-set.  :func:`compile_precolor` then computes no categories and returns
-the empty system, whose empty assignment answers yes.
+When every type is settled, the category equations alone remain, and they
+always hold: each category with colors has a subcategory, if only its own
+type set.  :func:`compile_precolor` then computes no categories and
+returns the empty system, whose empty assignment answers yes.
 
 A pinned color never sits on two adjacent vertices, so a category's types
 are pairwise non-adjacent and no clique type repeats a pinned color.  The
 witness follows from the first feasible count table of the search, with
 variables ordered by category and then in the order :func:`maximal_cliques`
 yields the sets.  :func:`reconstruct_coloring` hands out colors in that
-same order: each frozen type takes its lowest pinned color, each unpeeled
-active type its routed colors, and then, in reverse peel order, each open
-vertex of a peeled type the lowest color not on a neighbouring type and
-not pinned in its class (distinct ones across a clique).
+same order: each open type takes its routed colors, and then, in reverse
+settled order, each peeled type's open vertices the lowest colors not on
+a neighbouring type and not pinned in its class (distinct ones across a
+clique), and each frozen type's open vertices its lowest pinned color.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from itertools import count, filterfalse, islice
@@ -119,18 +118,6 @@ class ColoringWitness:
     colors: tuple[int, ...]
 
 
-def reduce_independent_types(
-    instance: PrecolorInstance, partition: TypePartition
-) -> frozenset[int]:
-    """The frozen types: independent types with a pinned vertex.
-
-    Reads only the pinned vertices, so it costs O(#pinned)."""
-    type_of, clique_flag = partition.type_of, partition.clique_flag
-    return frozenset(
-        type_of[v] for v in instance.precolor if not clique_flag[type_of[v]]
-    )
-
-
 def pinned_colors(
     instance: PrecolorInstance, type_of: Sequence[int], k: int
 ) -> dict[int, set[int]]:
@@ -138,12 +125,22 @@ def pinned_colors(
 
     The pass collects each pinned (color, type) pair once as the integer
     ``c * k + t``: one set comprehension, about twice as fast as filling a
-    dict of sets pin by pin."""
+    dict of sets pin by pin.  :func:`compile_precolor` reads the pins once,
+    here, and the frozen types, the peel and the categories read this dict."""
     pinned: dict[int, set[int]] = {}
     for key in {c * k + type_of[v] for v, c in instance.precolor.items()}:
         c, t = divmod(key, k)
         pinned.setdefault(t, set()).add(c)
     return pinned
+
+
+def reduce_independent_types(
+    pinned: dict[int, set[int]], partition: TypePartition
+) -> frozenset[int]:
+    """The frozen types: independent types with a pinned vertex.
+
+    Reads only the ``pinned`` types, so it costs O(#pinned types)."""
+    return frozenset(t for t in pinned if not partition.clique_flag[t])
 
 
 def peel_types(
@@ -152,17 +149,15 @@ def peel_types(
     pinned: dict[int, set[int]],
     num_colors: int,
 ) -> tuple[int, ...]:
-    """The active types the greedy bound colors, in the order they peel.
+    """The active types the greedy bound colors, in an order they peel.
 
-    Pass by pass, lowest type first, an active type t peels when
-    ``num_colors - need(t)`` is at least its load, the summed weight of
-    its neighbours in H; a pass that peels nothing ends the fixpoint.  A
-    frozen or peeled neighbour weighs its count of ``pinned`` colors, an
-    unpeeled active one its need.  Loads only fall, so a type is ready
-    from the moment its load is low enough: it waits in the current pass's
-    heap when its id lies past the type that made it ready, otherwise in
-    the next pass's, and each type is pushed once.  O((k + |E(H)|) log k);
-    the edges of the graph are never read.
+    An active type t peels when ``num_colors - need(t)`` is at least its
+    load, the summed weight of its neighbours in H.  A frozen or peeled
+    neighbour weighs its count of ``pinned`` colors, an unpeeled active one
+    its need.  Loads only fall, so a type that can peel stays able to and
+    the set of types that peel does not depend on the order: a worklist
+    takes each type once, when its load first drops low enough.
+    O(k + |E(H)|); the edges of the graph are never read.
     """
     k = type_graph.num_types
     fixed = [0] * k  # each type's count of pinned colors
@@ -175,35 +170,28 @@ def peel_types(
         num_colors - need[t] - sum(map(weight.__getitem__, row))
         for t, row in enumerate(type_graph.adj)
     ]
-    this_pass = [t for t in range(k) if slack[t] >= 0 and t not in frozen]
-    next_pass: list[int] = []
-    order = []
-    while this_pass or next_pass:
-        if not this_pass:
-            this_pass, next_pass = next_pass, this_pass
-        t = heapq.heappop(this_pass)
-        order.append(t)
+    order = [t for t in range(k) if slack[t] >= 0 and t not in frozen]
+    for t in order:  # the worklist: types made ready are appended as it runs
         gain = need[t] - fixed[t]
-        if not gain:
-            continue
         for u in type_graph.adj[t]:
             if slack[u] < 0 <= slack[u] + gain and u not in frozen:
-                heapq.heappush(this_pass if u > t else next_pass, u)
+                order.append(u)
             slack[u] += gain
     return tuple(order)
 
 
 def compute_color_categories(
-    instance: PrecolorInstance, partition: TypePartition
+    instance: PrecolorInstance, pinned: dict[int, set[int]]
 ) -> tuple[ColorCategory, ...]:
     """Group the pinned colors by the set of types they are precolored in.
 
-    The category with the empty type set holds the unpinned colors among
-    1..min(r, n + #pinned), at least min(r - #pinned, n) of them, and is
-    always present, possibly with zero colors.
+    Reads the pins from ``pinned``, the instance only for its budget and
+    vertex count.  The category with the empty type set holds the unpinned
+    colors among 1..min(r, n + #pinned), at least min(r - #pinned, n) of
+    them, and is always present, possibly with zero colors.
     """
     pinned_types: dict[int, list[int]] = {}
-    for t, colors in pinned_colors(instance, partition.type_of, partition.num_types).items():
+    for t, colors in pinned.items():
         for c in colors:
             pinned_types.setdefault(c, []).append(t)
 
@@ -266,21 +254,21 @@ def maximal_cliques(compat: Sequence[int], pool: int) -> Iterator[int]:
 
 
 def build_precolor_ilp(
-    frozen: frozenset[int],
+    settled: Iterable[int],
     categories: tuple[ColorCategory, ...],
     type_graph: TypeGraph,
-    peeled: frozenset[int] = frozenset(),
 ) -> tuple[IlpProblem, tuple[ColorSubcategory, ...]]:
     """Count variables for the maximal subcategories, the category
-    equations and the covering rows of the active types not ``peeled``.
+    equations and the covering rows of the open types, those not
+    ``settled``.
 
     One compatibility table, read off the type graph's adjacency masks,
-    serves every category: ``compat[t]`` holds the open (not frozen) types
-    other than t that are not adjacent to t.  A category's pool is the
-    intersection of its types' rows, and its subcategories are its types
-    joined with each maximal clique of ``compat`` on that pool."""
+    serves every category: ``compat[t]`` holds the open types other than t
+    that are not adjacent to t.  A category's pool is the intersection of
+    its types' rows, and its subcategories are its types joined with each
+    maximal clique of ``compat`` on that pool."""
     k = type_graph.num_types
-    open_types = ((1 << k) - 1) & ~sum(1 << t for t in frozen)
+    open_types = ((1 << k) - 1) & ~sum(1 << t for t in settled)
     compat = [open_types & ~(mask | 1 << t) for t, mask in enumerate(type_graph.masks)]
     subcats: list[ColorSubcategory] = []
     covering: list[list[int]] = [[] for _ in range(k)]
@@ -299,11 +287,10 @@ def build_precolor_ilp(
             subcats.append(ColorSubcategory(ci, type_set))
         row = tuple((i, 1) for i in range(first, len(subcats)))
         constraints.append(LinearConstraint(row, "=", category.color_count))
-    for t in range(k):
-        if t not in frozen and t not in peeled:
-            need = type_graph.size[t] if type_graph.clique_flag[t] else 1
-            row = tuple((i, -1) for i in covering[t])
-            constraints.append(LinearConstraint(row, "<=", -need))
+    for t in mask_members(open_types):
+        need = type_graph.size[t] if type_graph.clique_flag[t] else 1
+        row = tuple((i, -1) for i in covering[t])
+        constraints.append(LinearConstraint(row, "<=", -need))
     num_vars = len(subcats)
     upper = tuple(categories[sc.category_index].color_count for sc in subcats)
     problem = IlpProblem(num_vars, (0,) * num_vars, upper, tuple(constraints))
@@ -317,7 +304,7 @@ class CompiledPrecolor(NamedTuple):
     partition: TypePartition
     type_graph: TypeGraph
     pinned: dict[int, set[int]]  # type -> its pinned colors
-    peeled: tuple[int, ...]  # in peel order
+    settled: tuple[int, ...]  # the frozen types, then the peel order
     categories: tuple[ColorCategory, ...]
     subcats: tuple[ColorSubcategory, ...]
     problem: IlpProblem
@@ -333,12 +320,12 @@ def reconstruct_coloring(
     One color list, seeded from the precoloring, is then filled class by
     class, each class's open vertices from an ascending run of colors: an
     independent class's share the run's first color, a clique's take one
-    each in id order.  A frozen class's run is its pinned colors.  An
-    unpeeled active class's run is its routed colors not pinned inside it;
-    the surplus stays off the type, and the covering rows guarantee enough
-    colors.  The peeled classes come last, in reverse peel order, and their
-    run is every color not on a neighbouring class and not pinned inside;
-    the peel rule guarantees enough of them within the budget.
+    each in id order.  An open class's run is its routed colors not pinned
+    inside it; the surplus stays off the type, and the covering rows
+    guarantee enough colors.  The settled classes come last, in reverse
+    order.  A frozen class's run is its lowest pinned color.  A peeled
+    class's run is every color not on a neighbouring class and not pinned
+    inside; the peel rule guarantees enough of them within the budget.
     ``palette[t]`` holds the colors on class t so far and grows as the
     class is filled, so each class's colors are collected once.
     """
@@ -372,43 +359,39 @@ def reconstruct_coloring(
         for v, c in zip(open_slots, colors * (len(open_slots) // wanted)):
             color_of[v] = c
 
-    waiting = frozenset(compiled.peeled)
-    for t in range(k):
-        if t in waiting:
-            continue
-        if palette[t] and not partition.clique_flag[t]:
-            fill(t, sorted(palette[t]))
-        else:
-            fill(t, filterfalse(palette[t].__contains__, sorted(routed[t])))
+    for t in set(range(k)).difference(compiled.settled):
+        fill(t, filterfalse(palette[t].__contains__, sorted(routed[t])))
     adj = compiled.type_graph.adj
-    for t in reversed(compiled.peeled):
-        near = palette[t].union(*map(palette.__getitem__, adj[t]))
-        fill(t, filterfalse(near.__contains__, count(1)))
+    for t in reversed(compiled.settled):
+        if palette[t] and not partition.clique_flag[t]:  # frozen: no new color
+            fill(t, [min(palette[t])])
+        else:
+            near = palette[t].union(*map(palette.__getitem__, adj[t]))
+            fill(t, filterfalse(near.__contains__, count(1)))
     return ColoringWitness(tuple(color_of))
 
 
-# every active type peeled: the category equations alone always hold
+# every type settled: the category equations alone always hold
 _EMPTY_SYSTEM = IlpProblem(0, (), (), ())
 
 
 def compile_precolor(instance: PrecolorInstance) -> CompiledPrecolor:
-    """The instance's type partition, type graph, pinned colors, peel order,
-    color categories, subcategories and integer system; the solver and the
-    CLI's ``--dump-ilp`` both compile through here.  When every active type
-    peels, it computes no categories and returns the empty system."""
+    """The instance's type partition, type graph, pinned colors, settled
+    types, color categories, subcategories and integer system; the solver
+    and the CLI's ``--dump-ilp`` both compile through here.  The pins are
+    read once, into ``pinned``.  When every type is settled, it computes no
+    categories and returns the empty system."""
     partition = compute_type_partition(instance.graph)
     type_graph = build_type_graph(instance.graph, partition)
-    frozen = reduce_independent_types(instance, partition)
     pinned = pinned_colors(instance, partition.type_of, partition.num_types)
-    peeled = peel_types(type_graph, frozen, pinned, instance.num_colors)
-    if len(frozen) + len(peeled) == partition.num_types:
-        return CompiledPrecolor(partition, type_graph, pinned, peeled, (), (), _EMPTY_SYSTEM)
-    categories = compute_color_categories(instance, partition)
-    problem, subcats = build_precolor_ilp(
-        frozen, categories, type_graph, frozenset(peeled)
-    )
+    frozen = reduce_independent_types(pinned, partition)
+    settled = (*frozen, *peel_types(type_graph, frozen, pinned, instance.num_colors))
+    if len(settled) == partition.num_types:
+        return CompiledPrecolor(partition, type_graph, pinned, settled, (), (), _EMPTY_SYSTEM)
+    categories = compute_color_categories(instance, pinned)
+    problem, subcats = build_precolor_ilp(settled, categories, type_graph)
     return CompiledPrecolor(
-        partition, type_graph, pinned, peeled, categories, subcats, problem
+        partition, type_graph, pinned, settled, categories, subcats, problem
     )
 
 

@@ -16,6 +16,7 @@ import pytest
 import ndsolve as nd
 from ndsolve.generate import random_instance, random_template, sparse_template
 from ndsolve.ilp import satisfies, solve_feasibility
+from ndsolve.precolor import pinned_colors
 from helpers import (
     brute_min_type_partition,
     grid_feasible,
@@ -291,7 +292,8 @@ def test_criterion_8_reduction_safety():
     for _ in range(200):
         instance = small_sweep_instance("precolor", rng, max_n=10)
         partition = nd.compute_type_partition(instance.graph)
-        frozen = nd.reduce_independent_types(instance, partition)
+        pinned = pinned_colors(instance, partition.type_of, partition.num_types)
+        frozen = nd.reduce_independent_types(pinned, partition)
         reduced = reference_reduced_instance(instance, partition, frozen)
         if nd.oracle_precolor(instance)[0] != nd.oracle_precolor(reduced)[0]:
             disagreements += 1

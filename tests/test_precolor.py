@@ -33,10 +33,18 @@ from helpers import reference_reduced_instance, small_sweep_instance
 C4_EDGES = [(0, 1), (0, 3), (2, 1), (2, 3)]  # = K_{2,2}, types {0,2} and {1,3}
 
 
+def _pins(inst, partition):
+    return pinned_colors(inst, partition.type_of, partition.num_types)
+
+
+def _categories(inst, partition):
+    return compute_color_categories(inst, _pins(inst, partition))
+
+
 def _reduced(inst):
     """The frozen types, the partition and the type graph of ``inst``."""
     partition = compute_type_partition(inst.graph)
-    frozen = reduce_independent_types(inst, partition)
+    frozen = reduce_independent_types(_pins(inst, partition), partition)
     return frozen, partition, build_type_graph(inst.graph, partition)
 
 
@@ -61,7 +69,7 @@ def test_reduction_collapses_uncolored_independent_type():
     inst = _fan({}, 2)
     frozen, partition, h = _reduced(inst)
     assert frozen == frozenset()
-    cats = compute_color_categories(inst, partition)
+    cats = _categories(inst, partition)
     problem, _ = build_precolor_ilp(frozen, cats, h)
     assert [c.rhs for c in problem.constraints if c.relation == "<="] == [-1, -1]
     colors = solve_precolor(inst).witness.colors
@@ -77,12 +85,14 @@ def test_reduction_leaves_clique_types_alone():
 
 def test_reduction_reads_only_the_pinned_vertices():
     # a type table holding only the pinned vertices and no class lists
-    # gives the same frozen set as the full partition
+    # gives the same pins and frozen set as the full partition
     inst = _fan({2: 1}, 3)
     partition = compute_type_partition(inst.graph)
     pinned_only = replace(partition, type_of={2: partition.type_of[2]}, classes=None)
-    frozen = reduce_independent_types(inst, pinned_only)
-    assert frozen == reduce_independent_types(inst, partition)
+    pins = _pins(inst, pinned_only)
+    assert pins == _pins(inst, partition)
+    frozen = reduce_independent_types(pins, pinned_only)
+    assert frozen == reduce_independent_types(pins, partition)
     assert frozen == {partition.type_of[2]}
 
 
@@ -91,7 +101,7 @@ def test_categories_no_precoloring():
     # a budget below n lists every color
     for budget, colors in ((4, (1, 2, 3)), (2, (1, 2))):
         inst = PrecolorInstance(complete_graph(3), {}, budget)
-        cats = compute_color_categories(inst, compute_type_partition(inst.graph))
+        cats = _categories(inst, compute_type_partition(inst.graph))
         assert len(cats) == 1
         assert cats[0].type_set == frozenset()
         assert cats[0].colors == colors
@@ -100,14 +110,14 @@ def test_categories_no_precoloring():
 def test_categories_group_by_pinned_types():
     # colors 1 and 2 pinned inside the clique type; color 3 free
     inst = PrecolorInstance(complete_graph(4), {0: 1, 1: 2}, 3)
-    cats = compute_color_categories(inst, compute_type_partition(inst.graph))
+    cats = _categories(inst, compute_type_partition(inst.graph))
     assert [c.colors for c in cats] == [(3,), (1, 2)]
     assert cats[1].type_set == frozenset({0})
 
 
 def test_categories_on_c4_with_pinned_diagonal():
     inst = PrecolorInstance(Graph.from_edges(4, C4_EDGES), {0: 1, 2: 2}, 2)
-    cats = compute_color_categories(inst, compute_type_partition(inst.graph))
+    cats = _categories(inst, compute_type_partition(inst.graph))
     assert [(set(c.type_set), c.color_count) for c in cats] == [
         (set(), 0),
         ({0}, 2),
@@ -117,7 +127,7 @@ def test_categories_on_c4_with_pinned_diagonal():
 def test_ilp_k3_one_pinned_is_feasible():
     inst = PrecolorInstance(complete_graph(3), {0: 1}, 3)
     frozen, partition, h = _reduced(inst)
-    cats = compute_color_categories(inst, partition)
+    cats = _categories(inst, partition)
     problem, subcats = build_precolor_ilp(frozen, cats, h)
     solution = solve_feasibility(problem)
     assert solution is not None
@@ -128,7 +138,7 @@ def test_ilp_k3_one_pinned_is_feasible():
 def test_ilp_c4_diagonal_two_colors_infeasible():
     inst = PrecolorInstance(Graph.from_edges(4, C4_EDGES), {0: 1, 2: 2}, 2)
     frozen, partition, h = _reduced(inst)
-    cats = compute_color_categories(inst, partition)
+    cats = _categories(inst, partition)
     problem, _ = build_precolor_ilp(frozen, cats, h)
     assert solve_feasibility(problem) is None
 
@@ -198,8 +208,7 @@ def test_reduction_preserves_the_answer():
     rng = random.Random(1001)
     for _ in range(60):
         inst = small_sweep_instance("precolor", rng, max_n=10)
-        partition = compute_type_partition(inst.graph)
-        frozen = reduce_independent_types(inst, partition)
+        frozen, partition, _ = _reduced(inst)
         small = reference_reduced_instance(inst, partition, frozen)
         assert oracle_precolor(inst)[0] == oracle_precolor(small)[0]
 
@@ -216,8 +225,7 @@ def test_active_types_are_colored_rainbow():
         if not report.answer:
             continue
         seen_yes += 1
-        partition = compute_type_partition(inst.graph)
-        frozen = reduce_independent_types(inst, partition)
+        frozen, partition, _ = _reduced(inst)
         for t, members in enumerate(partition.classes):
             used = [report.witness.colors[v] for v in members]
             if partition.clique_flag[t]:
@@ -259,7 +267,7 @@ def test_frozen_types_route_exactly_their_pinned_colors():
     checked = 0
     for inst in sweep + dense:
         frozen, partition, h = _reduced(inst)
-        cats = compute_color_categories(inst, partition)
+        cats = _categories(inst, partition)
         problem, subcats = build_precolor_ilp(frozen, cats, h)
         solution = solve_feasibility(problem)
         if solution is None:
@@ -294,32 +302,40 @@ def _brute_maximal(h, base, addable):
 
 
 def test_subcategory_type_sets_are_independent_in_h():
+    # with the frozen types settled, and with the peeled ones settled too:
+    # settled types join a subcategory only through its category's types
     rng = random.Random(1100)
+    projected = 0
     for _ in range(40):
         inst = small_sweep_instance("precolor", rng)
-        frozen, partition, h = _reduced(inst)
-        cats = compute_color_categories(inst, partition)
-        _, subcats = build_precolor_ilp(frozen, cats, h)
-        for sc in subcats:
-            types = sorted(sc.type_set)
-            for i, a in enumerate(types):
-                for b in types[i + 1 :]:
-                    assert not h.has_edge(a, b)
-            assert cats[sc.category_index].type_set <= sc.type_set
-        # per category: exactly the maximal independent supersets, once each
-        for ci, cat in enumerate(cats):
-            if cat.color_count == 0:
-                continue
-            addable = [
-                t
-                for t in range(h.num_types)
-                if t not in cat.type_set
-                and t not in frozen
-                and not any(h.has_edge(t, u) for u in cat.type_set)
-            ]
-            mine = [sc.type_set for sc in subcats if sc.category_index == ci]
-            assert len(mine) == len(set(mine))
-            assert set(mine) == _brute_maximal(h, cat.type_set, addable)
+        frozen, partition, h, order = _peel(inst)
+        cats = _categories(inst, partition)
+        built = []
+        for settled in (frozen, frozen.union(order)):
+            _, subcats = build_precolor_ilp(settled, cats, h)
+            built.append(subcats)
+            for sc in subcats:
+                types = sorted(sc.type_set)
+                for i, a in enumerate(types):
+                    for b in types[i + 1 :]:
+                        assert not h.has_edge(a, b)
+                assert cats[sc.category_index].type_set <= sc.type_set
+            # per category: exactly the maximal independent supersets, once each
+            for ci, cat in enumerate(cats):
+                if cat.color_count == 0:
+                    continue
+                addable = [
+                    t
+                    for t in range(h.num_types)
+                    if t not in cat.type_set
+                    and t not in settled
+                    and not any(h.has_edge(t, u) for u in cat.type_set)
+                ]
+                mine = [sc.type_set for sc in subcats if sc.category_index == ci]
+                assert len(mine) == len(set(mine))
+                assert set(mine) == _brute_maximal(h, cat.type_set, addable)
+        projected += built[0] != built[1]
+    assert projected >= 10
 
 
 def test_maximal_independent_supersets_match_brute_force():
@@ -359,7 +375,7 @@ def _matching_instance(k):
 def test_perfect_matching_compiles_one_subcategory_per_category():
     inst = _matching_instance(6)
     frozen, partition, h = _reduced(inst)
-    problem, _ = build_precolor_ilp(frozen, compute_color_categories(inst, partition), h)
+    problem, _ = build_precolor_ilp(frozen, _categories(inst, partition), h)
     assert problem.num_vars == 2
     # every edge type peels, so the solver builds no system at all
     report = solve_precolor(inst)
@@ -387,7 +403,7 @@ def test_huge_budget_lists_at_most_n_plus_one_colors():
     # so the categories stay small however large the budget is
     inst = _matching_instance(30)
     inst = PrecolorInstance(inst.graph, inst.precolor, 10**6)
-    cats = compute_color_categories(inst, compute_type_partition(inst.graph))
+    cats = _categories(inst, compute_type_partition(inst.graph))
     assert sum(c.color_count for c in cats) <= inst.graph.n + 1
     report = solve_precolor(inst)
     assert report.answer
@@ -396,10 +412,12 @@ def test_huge_budget_lists_at_most_n_plus_one_colors():
 
 def test_rows_follow_the_subcategories():
     # one = row per category with colors, in category order, with a 1 for
-    # each of its subcategories; then one covering row per non-frozen type,
-    # with a -1 for each subcategory containing it and minus its need: the
-    # size of a clique, 1 for an independent type
+    # each of its subcategories; then one covering row per open type, with
+    # a -1 for each subcategory containing it and minus its need: the size
+    # of a clique, 1 for an independent type.  Open means not frozen, and
+    # then also not peeled
     rng = random.Random(707)
+    projected = 0
     for _ in range(200):
         k = rng.randint(1, 8)
         n = rng.randint(k, 24)
@@ -413,25 +431,30 @@ def test_rows_follow_the_subcategories():
             num_colors=rng.randint(1, 6),
             precolor_fraction=rng.random(),
         )
-        frozen, partition, h = _reduced(inst)
-        cats = compute_color_categories(inst, partition)
-        problem, subcats = build_precolor_ilp(frozen, cats, h)
-        dense = []
-        for ci, cat in enumerate(cats):
-            if cat.color_count:
-                coeffs = [1 if sc.category_index == ci else 0 for sc in subcats]
-                dense.append((coeffs, "=", cat.color_count))
-        for t in range(h.num_types):
-            if t not in frozen:
-                coeffs = [-1 if t in sc.type_set else 0 for sc in subcats]
-                need = h.size[t] if h.clique_flag[t] else 1
-                dense.append((coeffs, "<=", -need))
-        expected = [
-            (tuple((j, c) for j, c in enumerate(coeffs) if c), relation, rhs)
-            for coeffs, relation, rhs in dense
-        ]
-        rows = [(c.terms, c.relation, c.rhs) for c in problem.constraints]
-        assert rows == expected
+        frozen, partition, h, order = _peel(inst)
+        cats = _categories(inst, partition)
+        built = []
+        for settled in (frozen, frozen.union(order)):
+            problem, subcats = build_precolor_ilp(settled, cats, h)
+            built.append(subcats)
+            dense = []
+            for ci, cat in enumerate(cats):
+                if cat.color_count:
+                    coeffs = [1 if sc.category_index == ci else 0 for sc in subcats]
+                    dense.append((coeffs, "=", cat.color_count))
+            for t in range(h.num_types):
+                if t not in settled:
+                    coeffs = [-1 if t in sc.type_set else 0 for sc in subcats]
+                    need = h.size[t] if h.clique_flag[t] else 1
+                    dense.append((coeffs, "<=", -need))
+            expected = [
+                (tuple((j, c) for j, c in enumerate(coeffs) if c), relation, rhs)
+                for coeffs, relation, rhs in dense
+            ]
+            rows = [(c.terms, c.relation, c.rhs) for c in problem.constraints]
+            assert rows == expected
+        projected += built[0] != built[1]
+    assert projected >= 40
 
 
 def test_witness_outside_the_budget_names_its_first_vertex():
@@ -446,12 +469,11 @@ def test_witness_outside_the_budget_names_its_first_vertex():
 def _peel(inst):
     """The frozen types, the partition, the type graph and the peel order."""
     frozen, partition, h = _reduced(inst)
-    pinned = pinned_colors(inst, partition.type_of, partition.num_types)
-    return frozen, partition, h, peel_types(h, frozen, pinned, inst.num_colors)
+    return frozen, partition, h, peel_types(h, frozen, _pins(inst, partition), inst.num_colors)
 
 
 def _reference_peel(h, frozen, pinned, budget):
-    """The peel order by its definition: passes over the active types,
+    """A peel order by the definition: passes over the active types,
     lowest first, re-summing each load, until a pass peels nothing."""
     need = [s if q else 1 for s, q in zip(h.size, h.clique_flag)]
     weight = [len(pinned.get(t, ())) if t in frozen else need[t] for t in range(h.num_types)]
@@ -468,9 +490,11 @@ def _reference_peel(h, frozen, pinned, budget):
             return tuple(order)
 
 
-def test_peel_order_follows_the_passes():
-    # random type graphs, frozen sets, pins and budgets; a type that a later
-    # peel makes ready waits for the next pass when its id is lower
+def test_peel_order_is_a_valid_peel_sequence():
+    # random type graphs, frozen sets, pins and budgets: the order peels
+    # each active type at most once, each one meets the rule at its turn,
+    # and it peels the same set as the pass-by-pass definition, also where
+    # that definition needs a later pass
     rng = random.Random(2801)
     later_pass = 0
     for _ in range(1000):
@@ -493,8 +517,16 @@ def test_peel_order_follows_the_passes():
                 pinned[t] = set(colors)
         budget = rng.randint(1, 8)
         order = peel_types(h, frozen, pinned, budget)
-        assert order == _reference_peel(h, frozen, pinned, budget)
-        later_pass += list(order) != sorted(order)
+        reference = _reference_peel(h, frozen, pinned, budget)
+        assert len(set(order)) == len(order)
+        assert not frozen.intersection(order)
+        assert set(order) == set(reference)
+        need = [s if q else 1 for s, q in zip(size, clique)]
+        weight = [len(pinned.get(t, ())) if t in frozen else need[t] for t in range(k)]
+        for t in order:
+            assert budget - sum(weight[u] for u in h.adj[t]) >= need[t]
+            weight[t] = len(pinned.get(t, ()))
+        later_pass += list(reference) != sorted(reference)
     assert later_pass > 20
 
 
@@ -528,8 +560,9 @@ def test_peeling_agrees_with_the_oracle():
 
 
 def test_dropping_peeled_rows_keeps_feasibility():
-    # the covering rows of the peeled types never decide feasibility; with
-    # every active type peeled, the category equations alone hold
+    # settling the peeled types (no covering row, out of the subcategory
+    # pool) never decides feasibility; with every active type peeled, the
+    # category equations alone hold
     rng = random.Random(2802)
     mixed = full = 0
     for _ in range(400):
@@ -547,8 +580,8 @@ def test_dropping_peeled_rows_keeps_feasibility():
         frozen, partition, h, order = _peel(inst)
         if not order:
             continue
-        cats = compute_color_categories(inst, partition)
-        reduced, _ = build_precolor_ilp(frozen, cats, h, frozenset(order))
+        cats = _categories(inst, partition)
+        reduced, _ = build_precolor_ilp(frozen.union(order), cats, h)
         full_system, _ = build_precolor_ilp(frozen, cats, h)
         feasible = solve_feasibility(reduced) is not None
         assert feasible == (solve_feasibility(full_system) is not None)
@@ -575,6 +608,20 @@ def test_fully_peeled_probe_builds_no_system():
     compiled = compile_precolor(inst)
     assert compiled.categories == () and compiled.subcats == ()
     assert compiled.problem.num_vars == 0 and compiled.problem.constraints == ()
+
+
+def test_peeled_types_leave_the_subcategory_pool():
+    # C(40, 16, 1): two active types peel; with them in the subcategory
+    # pool the system had 658 variables
+    template = random_template(40, 60, 1, edge_prob=0.5)
+    inst = random_instance("precolor", template, 1, num_colors=16, precolor_fraction=0.2)
+    compiled = compile_precolor(inst)
+    frozen = reduce_independent_types(compiled.pinned, compiled.partition)
+    assert len(compiled.settled) - len(frozen) == 2
+    assert compiled.problem.num_vars <= 482
+    for sc in compiled.subcats:
+        added = sc.type_set - compiled.categories[sc.category_index].type_set
+        assert not added.intersection(compiled.settled)
 
 
 def test_peeled_neighbours_count_their_pinned_colors():
